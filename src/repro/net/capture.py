@@ -33,6 +33,9 @@ class CaptureRecord:
     tls_type: TlsRecordType
     tls_record_seq: object
     retransmission: bool
+    seq: int = 0
+    ack: int = 0
+    arrived_at: float = 0.0
 
     @property
     def is_application_data(self) -> bool:
@@ -95,6 +98,9 @@ class PacketCapture:
                 tls_type=packet.tls_type,
                 tls_record_seq=packet.tls_record_seq,
                 retransmission=bool(packet.meta.get("retransmission")),
+                seq=packet.seq,
+                ack=packet.ack,
+                arrived_at=self._network.sim.now,
             )
         )
 

@@ -22,6 +22,41 @@ from repro.sim.random import RngHub
 from repro.sim.simulator import Simulator
 
 PacketObserver = Callable[[Packet, str], None]
+_TCP = Protocol.TCP
+
+
+class Route:
+    """One resolved (origin, src, dst) path.
+
+    Everything here depends only on the key and the topology: the
+    delivery target, whether the WAN loss model applies, the base hop
+    latency, the interned FIFO floor id, the observer scope label, and
+    whether the target is a tap intercepting the packet.  ``epoch`` is
+    the network's topology epoch at resolution; any topology change
+    bumps the network's epoch, which retires every outstanding route.
+
+    ``peer`` caches the TCP connection that receives this path's
+    packets on the target's stack, once the stack has demultiplexed one
+    (see :meth:`repro.net.tcp.TcpStack.connection_for`).  It is trusted only
+    while the connection is still registered with its stack.
+
+    Routes hold plain data and object references only, so a deep copy
+    of a world (the scenario pool's snapshot restore) rebinds them.
+    """
+
+    __slots__ = ("origin", "epoch", "target", "wan", "base", "fifo_id", "scope",
+                 "tapped", "peer")
+
+    def __init__(self, origin, epoch, target, wan, base, fifo_id, scope, tapped) -> None:
+        self.origin = origin
+        self.epoch = epoch
+        self.target = target
+        self.wan = wan
+        self.base = base
+        self.fifo_id = fifo_id
+        self.scope = scope
+        self.tapped = tapped
+        self.peer = None
 
 
 class Host:
@@ -140,13 +175,18 @@ class Network:
         self._last_delivery: Dict[tuple, float] = {}
         self.delivered_count = 0
         self._legacy = compat.legacy_kernel_enabled()
-        # (origin_ip, src, dst) -> routing/latency facts.  Routing only
-        # changes when the topology does, so everything derivable from
-        # the key is computed once instead of per packet.  Endpoints
-        # carry precomputed hashes, keeping the lookup cheap; FIFO
-        # floors are tracked under small interned ints so the hot path
-        # never hashes a (src_ip, dst_ip, protocol) triple.
-        self._path_cache: Dict[tuple, tuple] = {}
+        self._clock = sim._clock
+        # (origin_ip, src, dst) -> Route.  Routing only changes when the
+        # topology does, so everything derivable from the key is
+        # computed once instead of per packet.  A TCP connection also
+        # keeps the Route of its own packets and hands it back with each
+        # one (``packet.route``), so an established flow skips even this
+        # lookup; ``_epoch`` tells both kinds of cached route apart from
+        # stale ones.  FIFO floors are tracked under small interned ints
+        # so the hot path never hashes a (src_ip, dst_ip, protocol)
+        # triple.
+        self._path_cache: Dict[tuple, Route] = {}
+        self._epoch = 0
         self._fifo_ids: Dict[tuple, int] = {}
         # Jitter draws come from the stream in blocks: ``random(n)``
         # yields the exact doubles ``n`` scalar draws would (pinned by a
@@ -165,7 +205,7 @@ class Network:
             raise NetworkError(f"duplicate host IP {host.ip}")
         self._hosts[host.ip] = host
         host.attached(self)
-        self._path_cache.clear()
+        self._topology_changed()
         return host
 
     def add_alias(self, host: Host, ip: IPv4Address) -> None:
@@ -177,7 +217,7 @@ class Network:
             raise NetworkError("attach the host before adding aliases")
         self._hosts[ip] = host
         host.aliases.add(ip)
-        self._path_cache.clear()
+        self._topology_changed()
 
     def host_for(self, ip: IPv4Address) -> Host:
         """The host owning ``ip``."""
@@ -197,15 +237,24 @@ class Network:
         if tap.ip not in self._hosts:
             raise NetworkError("tap host must be attached to the network first")
         self._taps[covered_ip] = tap
-        self._path_cache.clear()
+        self._topology_changed()
 
     def remove_tap(self, covered_ip: IPv4Address) -> None:
         """Stop diverting an IP's traffic."""
         self._taps.pop(covered_ip, None)
+        self._topology_changed()
+
+    def _topology_changed(self) -> None:
+        """Retire every resolved route: cached ones and those that
+        connections hold."""
         self._path_cache.clear()
+        self._epoch += 1
 
     def add_observer(self, observer: PacketObserver) -> None:
-        """Observe every delivered packet: ``observer(packet, "lan"|"wan")``."""
+        """Observe every delivered packet: ``observer(packet, "lan"|"wan")``.
+
+        Observed packets take the general delivery path (:meth:`_deliver`).
+        """
         self._observers.append(observer)
 
     # -- delivery -------------------------------------------------------
@@ -215,26 +264,25 @@ class Network:
         A packet whose source or destination IP is covered by a tap is
         delivered to the tap *unless the tap itself is the origin* —
         packets a tap re-injects go straight to their true destination.
+
+        ``packet.route`` may carry the sender's last route for the same
+        path; it is used when it is still current (same origin, same
+        topology epoch) and re-resolved otherwise.  Either way the route
+        taken is left on the packet, so the sender can keep it.
+
+        Every packet draws one jitter variate and moves its FIFO floor,
+        whichever delivery path it then takes, so the ``net.jitter``
+        stream and every arrival time are the same on all paths.
         """
         if self._legacy:
             self._send_legacy(origin, packet)
             return
-        sim = self.sim
-        now = sim._clock._now
+        now = self._clock._now
         packet.send_time = now
-        key = (origin.ip, packet.src, packet.dst)
-        path_cache = self._path_cache
-        path = path_cache.get(key)
-        if path is None:
-            if len(path_cache) >= 4096:
-                # Ephemeral ports make the key space unbounded on a
-                # fleet-length run; recomputing after a wholesale wipe
-                # is cheaper than tracking per-entry staleness.
-                path_cache.clear()
-            path = self._path_for(origin, packet)
-            path_cache[key] = path
-        target, crosses_wan, base, fifo_id, scope = path
-        if crosses_wan and self.wan_loss > 0.0 and self._loss_rng.random() < self.wan_loss:
+        route = packet.route
+        if route is None or route.epoch != self._epoch or route.origin is not origin:
+            route = packet.route = self._route_for(origin, packet)
+        if route.wan and self.wan_loss > 0.0 and self._loss_rng.random() < self.wan_loss:
             # Lost in transit; TCP's retransmission handles recovery.
             self.packets_lost += 1
             return
@@ -243,10 +291,11 @@ class Network:
             self._jitter_buf = self._rng.random(256).tolist()
             jitter_idx = 0
         self._jitter_idx = jitter_idx + 1
-        latency = base * (1.0 + self.jitter * self._jitter_buf[jitter_idx])
+        latency = route.base * (1.0 + self.jitter * self._jitter_buf[jitter_idx])
         # Per-path FIFO: jitter never reorders packets of one flow pair,
         # matching TCP's in-order delivery (and single-path reality).
         last_delivery = self._last_delivery
+        fifo_id = route.fifo_id
         arrival = now + latency
         floor = last_delivery.get(fifo_id, 0.0) + 1e-6
         if arrival < floor:
@@ -256,7 +305,10 @@ class Network:
             self._prune_delivery_floors(now)
         # Arrival is never before `now`, so the schedule-in-the-past
         # validation in Simulator.post_at is skipped on this hot path.
-        sim._queue.post(arrival, self._deliver, (packet, target, scope))
+        if packet.protocol is _TCP and not self._observers:
+            self.sim._queue.post(arrival, self._deliver_tcp, (packet, route))
+        else:
+            self.sim._queue.post(arrival, self._deliver, (packet, route.target, route.scope))
 
     def _send_legacy(self, origin: Host, packet: Packet) -> None:
         """The pre-PR send path, kept verbatim as the benchmark
@@ -277,21 +329,32 @@ class Network:
         self._last_delivery[key] = arrival
         self.sim.schedule_at(arrival, self._deliver, packet, target)
 
-    def _path_for(self, origin: Host, packet: Packet) -> tuple:
-        """Resolve everything about a path that only depends on the
-        (origin, src, dst) key: the delivery target, whether the WAN
-        loss model applies, the base hop latency, the interned FIFO
-        floor id, and the observer scope label."""
-        target = self._route(origin, packet)
-        local = packet.src.ip.is_private and packet.dst.ip.is_private
-        base = (
-            self.lan_latency
-            if (origin.ip.is_private and target.ip.is_private)
-            else self.wan_latency
-        )
-        fifo_triple = (packet.src.ip, packet.dst.ip, packet.protocol)
-        fifo_id = self._fifo_ids.setdefault(fifo_triple, len(self._fifo_ids))
-        return (target, not local, base, fifo_id, "lan" if local else "wan")
+    def _route_for(self, origin: Host, packet: Packet) -> Route:
+        """The cached :class:`Route` for ``packet`` sent by ``origin``."""
+        key = (origin.ip, packet.src, packet.dst)
+        path_cache = self._path_cache
+        route = path_cache.get(key)
+        if route is None:
+            if len(path_cache) >= 4096:
+                # Ephemeral ports make the key space unbounded on a
+                # fleet-length run; recomputing after a wholesale wipe
+                # is cheaper than tracking per-entry staleness.
+                path_cache.clear()
+            target = self._route(origin, packet)
+            local = packet.src.ip.is_private and packet.dst.ip.is_private
+            base = (
+                self.lan_latency
+                if (origin.ip.is_private and target.ip.is_private)
+                else self.wan_latency
+            )
+            fifo_triple = (packet.src.ip, packet.dst.ip, packet.protocol)
+            fifo_id = self._fifo_ids.setdefault(fifo_triple, len(self._fifo_ids))
+            tapped = isinstance(target, TapHost) and packet.dst.ip != target.ip
+            route = path_cache[key] = Route(
+                origin, self._epoch, target, not local, base, fifo_id,
+                "lan" if local else "wan", tapped,
+            )
+        return route
 
     def _prune_delivery_floors(self, now: float) -> None:
         """Drop FIFO floors that simulated time has already passed.
@@ -323,6 +386,8 @@ class Network:
         return base * (1.0 + self.jitter * float(self._rng.random()))
 
     def _deliver(self, packet: Packet, target: Host, scope: Optional[str] = None) -> None:
+        """The general delivery path: observers first, then the tap or
+        the host's protocol stacks."""
         self.delivered_count += 1
         if scope is None:
             scope = "lan" if (packet.src.ip.is_private and packet.dst.ip.is_private) else "wan"
@@ -332,6 +397,25 @@ class Network:
             target.intercept(packet)
         else:
             target.receive(packet)
+
+    def _deliver_tcp(self, packet: Packet, route: Route) -> None:
+        """Unobserved TCP delivery along a resolved route.
+
+        Same outcome as :meth:`_deliver`, minus the per-packet routing
+        questions the route already answered.  When the receiving
+        connection is known and still registered with its stack, the
+        segment goes straight to it, which is what the stack's demux
+        would do.
+        """
+        self.delivered_count += 1
+        if route.tapped:
+            route.target.intercept(packet)
+            return
+        peer = route.peer
+        if peer is not None and peer.registered:
+            peer.handle(packet)
+        else:
+            route.target.receive(packet)
 
 
 def _is_private_uncached(ip: IPv4Address) -> bool:

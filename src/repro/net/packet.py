@@ -102,8 +102,9 @@ class Packet:
     A plain ``__slots__`` class rather than a dataclass: tens of
     thousands of packets are built per scenario, and skipping the
     per-instance ``__dict__`` plus the dataclass plumbing measurably
-    trims the per-packet cost.  Equality still compares all fields and
-    packets stay unhashable, matching the previous dataclass semantics.
+    trims the per-packet cost.  Equality compares every field except
+    ``route`` (routing state, not content), and packets stay unhashable,
+    matching the previous dataclass semantics.
     """
 
     __slots__ = (
@@ -119,6 +120,7 @@ class Packet:
         "meta",
         "number",
         "send_time",
+        "route",
     )
 
     def __init__(
@@ -148,8 +150,12 @@ class Packet:
         self.tls_type = tls_type
         self.tls_record_seq = tls_record_seq
         self.meta = {} if meta is None else meta
-        self.number = next_packet_number() if number is None else number
+        self.number = next(_packet_ids) if number is None else number
         self.send_time = send_time
+        # The network's resolved path (a :class:`repro.net.link.Route`):
+        # the sender may set it as a hint, Network.send leaves the path
+        # actually taken.
+        self.route = None
 
     def _astuple(self) -> tuple:
         return (

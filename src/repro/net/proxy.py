@@ -31,6 +31,9 @@ from repro.net.packet import Packet, Protocol, TcpFlags
 from repro.net.tcp import TcpConnection, TcpStack, TcpTuning
 from repro.obs.tracer import NULL_SPAN, Observability
 
+_SYN = TcpFlags.SYN.value
+_ACK = TcpFlags.ACK.value
+
 
 class ForwarderDecision(enum.Enum):
     """Policy verdict for one client record/datagram.
@@ -246,12 +249,16 @@ class TransparentProxy(TapHost):
         for snooper in self._snoopers:
             snooper(packet)
         if packet.protocol is Protocol.TCP:
-            if self._belongs_to_proxy(packet):
-                self.stack.receive(packet)
+            # One demux lookup, cached on the packet's route, serves
+            # every segment of a proxied flow.
+            connection = self.stack.connection_for(packet)
+            if connection is not None:
+                connection.handle(packet)
                 return
+            flag_bits = packet.flags.value
             if (
-                TcpFlags.SYN in packet.flags
-                and TcpFlags.ACK not in packet.flags
+                flag_bits & _SYN
+                and not flag_bits & _ACK
                 and packet.dst.port in self.proxied_ports
             ):
                 self.stack.receive(packet)
@@ -262,9 +269,6 @@ class TransparentProxy(TapHost):
             self.udp_forwarder.handle(packet)
             return
         self.bridge(packet)
-
-    def _belongs_to_proxy(self, packet: Packet) -> bool:
-        return (packet.dst, packet.src) in self.stack._connections
 
     # -- downstream (speaker-side) ---------------------------------------
     def _accept_downstream(self, downstream: TcpConnection) -> None:

@@ -40,10 +40,18 @@ _ACK = TcpFlags.ACK.value
 _FIN = TcpFlags.FIN.value
 _RST = TcpFlags.RST.value
 _KEEPALIVE = TcpFlags.KEEPALIVE.value
+# Flag combinations are interned enum members, so the established-flow
+# path recognises a pure ACK or a data segment by identity alone.
+_ACK_ONLY = TcpFlags.ACK
 _SYN_ACK = TcpFlags.SYN | TcpFlags.ACK
 _PSH_ACK = TcpFlags.PSH | TcpFlags.ACK
 _FIN_ACK = TcpFlags.FIN | TcpFlags.ACK
 _KEEPALIVE_ACK = TcpFlags.KEEPALIVE | TcpFlags.ACK
+_TCP = Protocol.TCP
+_NO_TLS = TlsRecordType.NONE
+# Ephemeral ports for outgoing connections.
+EPHEMERAL_FIRST = 49201
+EPHEMERAL_LAST = 65000
 
 
 class TcpState(enum.Enum):
@@ -55,43 +63,6 @@ class TcpState(enum.Enum):
     ESTABLISHED = "established"
     FIN_WAIT = "fin_wait"
     CLOSE_WAIT = "close_wait"
-
-
-class _Unacked:
-    """A sent-but-unacknowledged segment awaiting ACK or retransmit.
-
-    Instances never escape their connection, so they are recycled
-    through a small free list (:func:`_unacked_acquire` /
-    :func:`_unacked_release`) instead of being allocated per data
-    segment.
-    """
-
-    __slots__ = ("seq_end", "packet", "retries")
-
-    def __init__(self, seq_end: int = 0, packet: Optional[Packet] = None, retries: int = 0) -> None:
-        self.seq_end = seq_end
-        self.packet = packet
-        self.retries = retries
-
-
-_UNACKED_POOL: List[_Unacked] = []
-_UNACKED_POOL_MAX = 256
-
-
-def _unacked_acquire(seq_end: int, packet: Packet) -> _Unacked:
-    if _UNACKED_POOL:
-        segment = _UNACKED_POOL.pop()
-        segment.seq_end = seq_end
-        segment.packet = packet
-        segment.retries = 0
-        return segment
-    return _Unacked(seq_end, packet)
-
-
-def _unacked_release(segment: _Unacked) -> None:
-    if len(_UNACKED_POOL) < _UNACKED_POOL_MAX:
-        segment.packet = None  # do not retain the packet via the pool
-        _UNACKED_POOL.append(segment)
 
 
 @dataclass
@@ -119,7 +90,30 @@ class TcpConnection:
         fired once when the connection leaves ESTABLISHED for good.
         ``reason`` is one of ``"fin"``, ``"rst"``, ``"timeout"``,
         ``"local"``.
+
+    An ESTABLISHED connection on the optimized kernel takes the
+    *established-flow path* for the two segments that make up nearly
+    all traffic, a pure ACK and an in-order data segment with nothing
+    buffered out of order: it handles them inline, without the general
+    state machine.  Every other segment, state, and the legacy kernel
+    take the general path in :meth:`handle`.  The keepalive deadline is
+    never bumped per segment: the keepalive callback re-arms itself at
+    ``_last_rx_time + keepalive_idle`` when traffic arrived since, the
+    same instant a per-segment bump would have produced.
     """
+
+    # Slots keep each connection small: a world holds hundreds of
+    # (mostly closed) connections, too many attributes for a compact
+    # instance dict.
+    __slots__ = (
+        "stack", "local", "remote", "tuning", "state",
+        "on_established", "on_record", "on_close",
+        "snd_next", "rcv_next", "_unacked", "_head_retries", "_out_of_order",
+        "_recovering", "_sim", "_legacy", "_rto_timer", "_rto_handle",
+        "_keepalive_timer", "_keepalive_handle", "_probes_sent", "_last_rx_time",
+        "_fast", "registered", "_route", "_peer_route",
+        "bytes_sent", "bytes_received", "retransmissions", "close_reason",
+    )
 
     def __init__(
         self,
@@ -139,7 +133,11 @@ class TcpConnection:
 
         self.snd_next = 0
         self.rcv_next = 0
-        self._unacked: List[_Unacked] = []
+        # Sent-but-unacknowledged data segments, in sequence order; each
+        # ends at ``packet.seq + packet.payload_len``.  Only the head is
+        # ever retransmitted, so one retry counter serves the queue.
+        self._unacked: List[Packet] = []
+        self._head_retries = 0
         self._out_of_order: dict = {}  # seq -> data packet awaiting gap fill
         self._recovering = False
         network = stack.host.network
@@ -154,6 +152,14 @@ class TcpConnection:
         self._keepalive_handle = None
         self._probes_sent = 0
         self._last_rx_time = 0.0
+        # Whether the established-flow path applies (see the class
+        # docstring), whether the stack's demux table holds this
+        # connection, and the network route of this connection's own
+        # packets (handed back to the network with each one).
+        self._fast = False
+        self.registered = False
+        self._route = None
+        self._peer_route = None  # the route caching this connection as its peer
         self.bytes_sent = 0
         self.bytes_received = 0
         self.retransmissions = 0
@@ -187,8 +193,20 @@ class TcpConnection:
         if self.state is not TcpState.CLOSED:
             raise NetworkError(f"cannot open connection in state {self.state}")
         self.state = TcpState.SYN_SENT
-        self._transmit(self._make_packet(flags=TcpFlags.SYN))
+        self._send(TcpFlags.SYN)
         self._arm_rto()
+
+    def _establish(self) -> None:
+        """Enter ESTABLISHED: arm the keepalive, enable the fast path."""
+        self.state = TcpState.ESTABLISHED
+        self._arm_keepalive()
+        # The fast path's lazy keepalive re-arm is exact only when a
+        # probe interval never outlasts the idle period (see
+        # _on_keepalive_timer); other tunings keep the per-segment bump.
+        self._fast = (
+            not self._legacy
+            and self.tuning.keepalive_interval <= self.tuning.keepalive_idle
+        )
 
     # -- sending --------------------------------------------------------
     def send_record(
@@ -199,31 +217,35 @@ class TcpConnection:
         meta: Optional[dict] = None,
     ) -> Packet:
         """Send one TLS record as a data segment."""
-        if self.state is not TcpState.ESTABLISHED:
+        if not self._fast and self.state is not TcpState.ESTABLISHED:
             raise ConnectionClosedError(
                 f"send on {self.local}->{self.remote} in state {self.state.value}"
             )
-        packet = self._make_packet(
-            flags=_PSH_ACK,
-            payload_len=payload_len,
-            tls_type=tls_type,
-            tls_record_seq=tls_record_seq,
-        )
+        packet = Packet(self.local, self.remote, _TCP, payload_len, _PSH_ACK,
+                        self.snd_next, self.rcv_next, tls_type, tls_record_seq)
         if meta:
             packet.meta.update(meta)
         self.snd_next += payload_len
         self.bytes_sent += payload_len
-        self._unacked.append(_unacked_acquire(self.snd_next, packet))
-        self._transmit(packet)
-        self._arm_rto()
+        self._unacked.append(packet)
+        packet.route = self._route
+        host = self.stack.host
+        host.network.send(host, packet)
+        self._route = packet.route
+        timer = self._rto_timer
+        if timer is None or self._legacy:
+            self._arm_rto()
+        elif timer._deadline is None:
+            timer.schedule_at(self._sim._clock._now + self.tuning.rto)
         return packet
 
     def close(self) -> None:
         """Orderly local close (FIN)."""
         if self.state in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT, TcpState.SYN_RCVD):
-            self._transmit(self._make_packet(flags=_FIN_ACK))
+            self._send(_FIN_ACK)
             previous = self.state
             self.state = TcpState.FIN_WAIT
+            self._fast = False
             if previous is TcpState.CLOSE_WAIT:
                 self._finish("fin")
 
@@ -231,21 +253,51 @@ class TcpConnection:
         """Send RST and drop all state immediately."""
         if self.state not in (TcpState.CLOSED,):
             try:
-                self._transmit(self._make_packet(flags=TcpFlags.RST))
+                self._send(TcpFlags.RST)
             finally:
                 self._finish(reason)
 
     # -- receiving ------------------------------------------------------
     def handle(self, packet: Packet) -> None:
         """Process one inbound packet for this connection."""
+        if self._fast:
+            flags = packet.flags
+            if flags is _ACK_ONLY or flags is _PSH_ACK:
+                # The established-flow path: same steps, in the same
+                # order, as the general path below takes for these two
+                # segment kinds.
+                self._last_rx_time = self._sim._clock._now
+                self._probes_sent = 0
+                unacked = self._unacked
+                if unacked:
+                    last = unacked[-1]
+                    if last.seq + last.payload_len <= packet.ack:
+                        # Everything in flight is acknowledged.
+                        unacked.clear()
+                        self._head_retries = 0
+                        self._recovering = False
+                        self._rto_timer._deadline = None
+                    else:
+                        self._process_ack(packet.ack)
+                payload_len = packet.payload_len
+                if payload_len:
+                    seq = packet.seq
+                    if (seq == self.rcv_next and self._fast
+                            and not self._out_of_order):
+                        self.rcv_next = seq + payload_len
+                        self.bytes_received += payload_len
+                        if self.on_record:
+                            self.on_record(self, packet)
+                        self._send(_ACK_ONLY)
+                    else:
+                        self._receive_data(packet)
+                return
         self._last_rx_time = now = self.sim._clock._now
         self._probes_sent = 0
-        # Bump the idle deadline instead of letting the keepalive wake
-        # up every <idle> seconds just to discover traffic arrived and
-        # re-arm — on a heartbeating connection that wander loop is one
-        # pure-bookkeeping callback per heartbeat.  Bumping a deadline
-        # is a float store (no heap traffic, see DeadlineTimer), and
-        # the callback now only runs when the link is genuinely idle.
+        # Off the fast path the idle deadline is bumped per segment, so
+        # the keepalive only wakes up when the link is genuinely idle.
+        # Bumping a deadline is a float store (no heap traffic, see
+        # DeadlineTimer).
         timer = self._keepalive_timer
         if timer is not None and timer._deadline is not None:
             timer.schedule_at(now + self.tuning.keepalive_idle)
@@ -257,19 +309,18 @@ class TcpConnection:
 
         if self.state is TcpState.SYN_SENT:
             if flag_bits & _SYN and flag_bits & _ACK:
-                self.state = TcpState.ESTABLISHED
                 self._cancel_rto()
-                self._clear_unacked()
-                self._transmit(self._make_packet(flags=TcpFlags.ACK))
-                self._arm_keepalive()
+                self._unacked.clear()
+                self.state = TcpState.ESTABLISHED
+                self._send(_ACK_ONLY)
+                self._establish()
                 if self.on_established:
                     self.on_established(self)
             return
 
         if self.state is TcpState.SYN_RCVD:
             if flag_bits & _ACK:
-                self.state = TcpState.ESTABLISHED
-                self._arm_keepalive()
+                self._establish()
                 if self.on_established:
                     self.on_established(self)
             # fall through: the ACK may carry data in theory; ours never do
@@ -278,7 +329,7 @@ class TcpConnection:
 
         if flag_bits & _KEEPALIVE:
             # Answer the probe with a bare ACK.
-            self._transmit(self._make_packet(flags=TcpFlags.ACK))
+            self._send(_ACK_ONLY)
             return
 
         if flag_bits & _ACK:
@@ -290,12 +341,13 @@ class TcpConnection:
         if flag_bits & _FIN:
             if self.state is TcpState.ESTABLISHED:
                 self.state = TcpState.CLOSE_WAIT
-                self._transmit(self._make_packet(flags=TcpFlags.ACK))
+                self._fast = False
+                self._send(_ACK_ONLY)
                 # Consumer devices close promptly in response.
-                self._transmit(self._make_packet(flags=_FIN_ACK))
+                self._send(_FIN_ACK)
                 self._finish("fin")
             elif self.state is TcpState.FIN_WAIT:
-                self._transmit(self._make_packet(flags=TcpFlags.ACK))
+                self._send(_ACK_ONLY)
                 self._finish("fin")
 
     # -- internals ------------------------------------------------------
@@ -306,20 +358,19 @@ class TcpConnection:
         tls_type: TlsRecordType = TlsRecordType.NONE,
         tls_record_seq: Optional[int] = None,
     ) -> Packet:
-        return Packet(
-            src=self.local,
-            dst=self.remote,
-            protocol=Protocol.TCP,
-            payload_len=payload_len,
-            flags=flags,
-            seq=self.snd_next,
-            ack=self.rcv_next,
-            tls_type=tls_type,
-            tls_record_seq=tls_record_seq,
-        )
+        return Packet(self.local, self.remote, _TCP, payload_len, flags,
+                      self.snd_next, self.rcv_next, tls_type, tls_record_seq)
+
+    def _send(self, flags: TcpFlags) -> None:
+        """Send a control segment (no payload) along the cached route."""
+        packet = Packet(self.local, self.remote, _TCP, 0, flags,
+                        self.snd_next, self.rcv_next, _NO_TLS, None)
+        packet.route = self._route
+        host = self.stack.host
+        host.network.send(host, packet)
+        self._route = packet.route
 
     def _transmit(self, packet: Packet) -> None:
-        # Inlined Host.send: one Python frame per packet matters here.
         host = self.stack.host
         host.network.send(host, packet)
 
@@ -332,16 +383,16 @@ class TcpConnection:
         """
         if packet.seq > self.rcv_next:
             self._out_of_order.setdefault(packet.seq, packet)
-            self._transmit(self._make_packet(flags=TcpFlags.ACK))
+            self._send(_ACK_ONLY)
             return
         if packet.seq < self.rcv_next:
             # Duplicate of delivered data: re-ACK, do not re-deliver.
-            self._transmit(self._make_packet(flags=TcpFlags.ACK))
+            self._send(_ACK_ONLY)
             return
         self._deliver(packet)
         while self.rcv_next in self._out_of_order:
             self._deliver(self._out_of_order.pop(self.rcv_next))
-        self._transmit(self._make_packet(flags=TcpFlags.ACK))
+        self._send(_ACK_ONLY)
 
     def _deliver(self, packet: Packet) -> None:
         self.rcv_next = packet.seq + packet.payload_len
@@ -353,17 +404,16 @@ class TcpConnection:
         unacked = self._unacked
         if not unacked:
             return
-        # seq_end values are strictly increasing (appends follow
+        # Segment ends are strictly increasing (appends follow
         # snd_next), so acknowledged segments form a prefix.
         cleared = 0
         total = len(unacked)
-        while cleared < total and unacked[cleared].seq_end <= ack:
+        while cleared < total and unacked[cleared].seq + unacked[cleared].payload_len <= ack:
             cleared += 1
         if cleared == 0:
             return
-        for i in range(cleared):
-            _unacked_release(unacked[i])
         del unacked[:cleared]
+        self._head_retries = 0
         if unacked:
             self._arm_rto(restart=True)
             if self._recovering:
@@ -374,12 +424,6 @@ class TcpConnection:
         else:
             self._recovering = False
             self._cancel_rto()
-
-    def _clear_unacked(self) -> None:
-        unacked = self._unacked
-        for segment in unacked:
-            _unacked_release(segment)
-        unacked.clear()
 
     def _arm_rto(self, restart: bool = False) -> None:
         if not self._legacy:
@@ -407,7 +451,7 @@ class TcpConnection:
     def _on_rto(self) -> None:
         self._rto_handle = None
         if self.state is TcpState.SYN_SENT:
-            self._transmit(self._make_packet(flags=TcpFlags.SYN))
+            self._send(TcpFlags.SYN)
             self._arm_rto()
             return
         if not self._unacked:
@@ -419,23 +463,23 @@ class TcpConnection:
     def _retransmit_head(self) -> None:
         if not self._unacked:
             return
-        segment = self._unacked[0]
-        segment.retries += 1
-        if segment.retries > self.tuning.max_retries:
+        original = self._unacked[0]
+        self._head_retries += 1
+        if self._head_retries > self.tuning.max_retries:
             self.abort("timeout")
             return
         self.retransmissions += 1
         retransmit = Packet(
-            src=segment.packet.src,
-            dst=segment.packet.dst,
+            src=original.src,
+            dst=original.dst,
             protocol=Protocol.TCP,
-            payload_len=segment.packet.payload_len,
-            flags=segment.packet.flags,
-            seq=segment.packet.seq,
+            payload_len=original.payload_len,
+            flags=original.flags,
+            seq=original.seq,
             ack=self.rcv_next,
-            tls_type=segment.packet.tls_type,
-            tls_record_seq=segment.packet.tls_record_seq,
-            meta=dict(segment.packet.meta, retransmission=True),
+            tls_type=original.tls_type,
+            tls_record_seq=original.tls_record_seq,
+            meta=dict(original.meta, retransmission=True),
         )
         self._transmit(retransmit)
 
@@ -460,6 +504,15 @@ class TcpConnection:
         self._keepalive_handle = None
         if self.state is not TcpState.ESTABLISHED:
             return
+        if self._fast:
+            # Segments the fast path took since this deadline was set
+            # did not bump it; re-arm at exactly the deadline the last
+            # one would have set.  Probe intervals never outlast the
+            # idle period here, so no bump could have moved it earlier.
+            due = self._last_rx_time + self.tuning.keepalive_idle
+            if due > self.sim._clock._now:
+                self._keepalive_timer.schedule_at(due)
+                return
         idle = self.sim.now - self._last_rx_time
         remaining = self.tuning.keepalive_idle - idle
         if remaining > 1e-6:
@@ -471,13 +524,14 @@ class TcpConnection:
             self.abort("timeout")
             return
         self._probes_sent += 1
-        self._transmit(self._make_packet(flags=_KEEPALIVE_ACK))
+        self._send(_KEEPALIVE_ACK)
         self._schedule_keepalive(self.tuning.keepalive_interval)
 
     def _finish(self, reason: str) -> None:
         if self.state is TcpState.CLOSED:
             return
         self.state = TcpState.CLOSED
+        self._fast = False
         self.close_reason = reason
         self._cancel_rto()
         if self._keepalive_timer is not None:
@@ -485,7 +539,7 @@ class TcpConnection:
         if self._keepalive_handle is not None:
             self._keepalive_handle.cancel()
             self._keepalive_handle = None
-        self._clear_unacked()
+        self._unacked.clear()
         self.stack.forget(self)
         if self.on_close:
             self.on_close(self, reason)
@@ -512,7 +566,7 @@ class TcpStack:
         host.register_tcp_stack(self)
         self._connections: Dict[Tuple[Endpoint, Endpoint], TcpConnection] = {}
         self._listeners: Dict[int, _Listener] = {}
-        self._ephemeral = 49200
+        self._ephemeral = EPHEMERAL_FIRST - 1
 
     # -- API ------------------------------------------------------------
     def listen(
@@ -535,15 +589,27 @@ class TcpStack:
     ) -> TcpConnection:
         """Open a client connection; ``local_ip`` may spoof another host."""
         ip = local_ip if local_ip is not None else self.host.ip
-        local = Endpoint(ip, self._next_port())
+        local = Endpoint(ip, self._next_port(ip))
         connection = TcpConnection(self, local, remote, tuning)
-        self._connections[connection.four_tuple] = connection
+        self._register(connection)
         connection.open_active()
         return connection
 
+    def _register(self, connection: TcpConnection) -> None:
+        self._connections[connection.four_tuple] = connection
+        connection.registered = True
+
     def forget(self, connection: TcpConnection) -> None:
-        """Drop a closed connection from the demux table."""
-        self._connections.pop(connection.four_tuple, None)
+        """Drop a closed connection from the demux table (and from the
+        route that caches it, so the route does not keep it alive)."""
+        if self._connections.get(connection.four_tuple) is connection:
+            del self._connections[connection.four_tuple]
+        connection.registered = False
+        route = connection._peer_route
+        if route is not None:
+            if route.peer is connection:
+                route.peer = None
+            connection._peer_route = None
 
     @property
     def connection_count(self) -> int:
@@ -553,8 +619,7 @@ class TcpStack:
     # -- demux ----------------------------------------------------------
     def receive(self, packet: Packet) -> None:
         """Demultiplex one inbound TCP packet."""
-        key = (packet.dst, packet.src)
-        connection = self._connections.get(key)
+        connection = self.connection_for(packet)
         if connection is not None:
             connection.handle(packet)
             return
@@ -565,6 +630,25 @@ class TcpStack:
         # a real host would answer with RST; the simulation has no
         # scanners, so the distinction never matters.
 
+    def connection_for(self, packet: Packet) -> Optional[TcpConnection]:
+        """The registered connection an inbound packet belongs to.
+
+        A packet the network delivered to this host along a resolved
+        route keeps the answer on the route (``route.peer``), so the
+        next segment of the flow skips the table lookup for as long as
+        that connection stays registered.
+        """
+        route = packet.route
+        if route is not None and route.target is self.host:
+            peer = route.peer
+            if peer is not None and peer.registered:
+                return peer
+            peer = route.peer = self._connections.get((packet.dst, packet.src))
+            if peer is not None:
+                peer._peer_route = route
+            return peer
+        return self._connections.get((packet.dst, packet.src))
+
     def _accept_syn(self, packet: Packet) -> None:
         listener = self._listeners.get(packet.dst.port)
         if listener is None:
@@ -574,12 +658,18 @@ class TcpStack:
             return
         connection = TcpConnection(self, packet.dst, packet.src, listener.tuning)
         connection.state = TcpState.SYN_RCVD
-        self._connections[connection.four_tuple] = connection
+        self._register(connection)
         listener.accept(connection)
-        connection._transmit(connection._make_packet(flags=_SYN_ACK))
+        connection._send(_SYN_ACK)
 
-    def _next_port(self) -> int:
-        self._ephemeral += 1
-        if self._ephemeral > 65000:
-            self._ephemeral = 49201
-        return self._ephemeral
+    def _next_port(self, ip) -> int:
+        """The next ephemeral port (wrapping within 49201-65000) that no
+        live connection from ``ip`` is using."""
+        in_use = {local.port for local, _remote in self._connections if local.ip == ip}
+        for _ in range(EPHEMERAL_LAST - EPHEMERAL_FIRST + 1):
+            self._ephemeral += 1
+            if self._ephemeral > EPHEMERAL_LAST:
+                self._ephemeral = EPHEMERAL_FIRST
+            if self._ephemeral not in in_use:
+                return self._ephemeral
+        raise NetworkError(f"no free ephemeral port on {self.host.name}")

@@ -45,6 +45,8 @@ from typing import Any, Callable, Optional, Tuple
 from repro.errors import SimulationError
 
 Callback = Callable[..., None]
+_heappush = heapq.heappush
+_heappop = heapq.heappop
 
 # Compaction only kicks in once this many dead entries accumulated, so
 # tiny queues never pay a rebuild for a handful of cancels.
@@ -157,7 +159,7 @@ class EventQueue:
         """
         seq = self._next_seq
         self._next_seq = seq + 1
-        heapq.heappush(self._heap, (float(time), seq, None, callback, args))
+        _heappush(self._heap, (float(time), seq, None, callback, args))
         self._live += 1
 
     # -- inspection -----------------------------------------------------
@@ -223,17 +225,22 @@ class EventQueue:
         while heap:
             head = heap[0]
             event = head[2]
-            if event is not None and event.cancelled:
-                heapq.heappop(heap)
+            if event is None:
+                # A handle-free entry: the common case.
+                if head[0] > limit:
+                    return None
+                _heappop(heap)
+                self._live -= 1
+                return (head[0], head[3], head[4])
+            if event.cancelled:
+                _heappop(heap)
                 event._in_queue = False
                 self._dead -= 1
                 continue
             if head[0] > limit:
                 return None
-            heapq.heappop(heap)
+            _heappop(heap)
             self._live -= 1
-            if event is None:
-                return (head[0], head[3], head[4])
             event._in_queue = False
             return (head[0], event.callback, event.args)
         return None

@@ -78,7 +78,7 @@ class DeadlineTimer:
     the deadline, so observable behaviour matches a cancel + re-push
     timer; only the heap traffic differs.
 
-    Wakeups ride the handle-free :meth:`Simulator.post_at` path: the
+    Wakeups ride the handle-free :meth:`EventQueue.post` path: the
     timer never allocates an :class:`~repro.sim.events.Event` or an
     :class:`~repro.sim.events.EventHandle`, and cancellation never
     touches the heap.  ``_next_fire`` tracks the earliest outstanding
@@ -112,14 +112,20 @@ class DeadlineTimer:
             # No outstanding wakeup covers the new deadline; post one.
             # (A wakeup made redundant by an earlier one stays queued
             # and no-ops — cheaper than cancelling it out of the heap.)
+            sim = self._sim
+            if deadline < sim._clock._now:
+                raise SimulationError(
+                    f"cannot schedule at {deadline:.6f}, which is before now "
+                    f"({sim.now:.6f})"
+                )
             self._next_fire = deadline
-            self._sim.post_at(deadline, self._fire)
+            sim._queue.post(deadline, self._fire)
         # Otherwise the pending (earlier) wakeup will fire and lazily
         # re-arm for the remainder — the zero-heap-traffic hot path.
 
     def schedule_in(self, delay: float) -> None:
         """Arm (or bump) the timer to expire ``delay`` seconds from now."""
-        self.schedule_at(self._sim.now + delay)
+        self.schedule_at(self._sim._clock._now + delay)
 
     def cancel(self) -> None:
         """Disarm (idempotent).  The pending wakeup, if any, becomes a
@@ -136,10 +142,11 @@ class DeadlineTimer:
         if deadline is None:
             return
         if deadline > now:
-            # Bumped since this wakeup was queued: re-arm for the rest.
+            # Bumped since this wakeup was queued: re-arm for the rest
+            # (straight onto the queue: the deadline is in the future).
             if self._next_fire is None:
                 self._next_fire = deadline
-                sim.post_at(deadline, self._fire)
+                sim._queue.post(deadline, self._fire)
             return
         self._deadline = None
         self._callback()

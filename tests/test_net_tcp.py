@@ -234,3 +234,57 @@ class TestKeepalive:
         conn.on_close = lambda c, r: reasons.append(r)
         sim.run_for(60.0)
         assert reasons == ["timeout"]
+
+
+class TestEphemeralPorts:
+    def test_wrap_skips_ports_of_live_connections(self, world):
+        from repro.net.tcp import EPHEMERAL_FIRST, EPHEMERAL_LAST
+
+        sim, network, client, server = world
+        server.listen(443, lambda c: None)
+        remote = Endpoint(server.host.ip, 443)
+        # A long-lived connection on the first port of the range...
+        client._ephemeral = EPHEMERAL_FIRST - 1
+        live = client.connect(remote)
+        sim.run_for(1.0)
+        assert live.local.port == EPHEMERAL_FIRST and live.is_established
+        # ...and the counter about to wrap back onto it.
+        client._ephemeral = EPHEMERAL_LAST
+        fresh = client.connect(remote)
+        sim.run_for(1.0)
+        assert fresh.local.port == EPHEMERAL_FIRST + 1
+        assert client.connection_count == 2
+        assert live.is_established and fresh.is_established
+        received = []
+        live.on_record = lambda c, p: received.append(("live", p.payload_len))
+        fresh.on_record = lambda c, p: received.append(("fresh", p.payload_len))
+        server_side = {c.remote.port: c for c in server._connections.values()}
+        server_side[EPHEMERAL_FIRST].send_record(7, tls_record_seq=0)
+        server_side[EPHEMERAL_FIRST + 1].send_record(9, tls_record_seq=0)
+        sim.run_for(1.0)
+        assert sorted(received) == [("fresh", 9), ("live", 7)]
+
+    def test_closed_connection_frees_its_port(self, world):
+        from repro.net.tcp import EPHEMERAL_FIRST, EPHEMERAL_LAST
+
+        sim, network, client, server = world
+        server.listen(443, lambda c: None)
+        remote = Endpoint(server.host.ip, 443)
+        client._ephemeral = EPHEMERAL_FIRST - 1
+        first = client.connect(remote)
+        sim.run_for(1.0)
+        first.close()
+        sim.run_for(2.0)
+        client._ephemeral = EPHEMERAL_LAST
+        assert client.connect(remote).local.port == EPHEMERAL_FIRST
+
+    def test_exhausted_range_raises(self, world):
+        from repro.errors import NetworkError
+        from repro.net.tcp import EPHEMERAL_FIRST, EPHEMERAL_LAST
+
+        sim, network, client, server = world
+        remote = Endpoint(server.host.ip, 443)
+        for port in range(EPHEMERAL_FIRST, EPHEMERAL_LAST + 1):
+            client._connections[(Endpoint(client.host.ip, port), remote)] = None
+        with pytest.raises(NetworkError):
+            client.connect(remote)
