@@ -467,6 +467,7 @@ def collect_route_features(
     route_name: str,
     repetitions: int,
     step_log: Optional[List[float]] = None,
+    ticked: bool = False,
 ) -> List[TraceFeatures]:
     """Walk ``route_name`` ``repetitions`` times recording traces.
 
@@ -475,6 +476,14 @@ def collect_route_features(
     at the route's end until the 8-second trace completes — matching
     how live traces are captured.
 
+    Each trace is computed in one batched pass
+    (:meth:`MobileDevice.training_trace`) rather than 40 simulator
+    ticks.  That is exact because nothing else reads the device's or
+    the walker's random stream, or moves the walker, during a training
+    walk: no one speaks, so no push arrives, and the motion sensor is
+    not yet installed.  ``ticked=True`` records through the live
+    :meth:`MobileDevice.record_trace` instead (the reference path).
+
     ``step_log``, if given, collects every ``run_for`` increment in
     order.  Replaying those exact floats from the same starting clock
     reproduces the clock's value chain bit-for-bit — which a single
@@ -482,6 +491,8 @@ def collect_route_features(
     :func:`train_trace_classifier`) keeps later event timestamps
     byte-identical to a memo-cold build.
     """
+    from repro.analysis.traces import RssiTrace
+
     env = scenario.env
     route = scenario.env.testbed.routes[route_name]
     person = device.carrier
@@ -490,14 +501,6 @@ def collect_route_features(
     features: List[TraceFeatures] = []
     return_point = person.position
     for _ in range(repetitions):
-        done: List[TraceFeatures] = []
-
-        def on_trace(samples: list) -> None:
-            from repro.analysis.traces import RssiTrace
-
-            trace = RssiTrace.from_samples(samples, label=route_name)
-            done.append(TraceFeatures.from_fit(trace.fit()))
-
         person.follow(route)
         # The live sensor polls every 0.25 s, so live traces start up
         # to a poll period after region entry; train the same way.
@@ -507,11 +510,16 @@ def collect_route_features(
             step_log.append(trigger_offset)
             step_log.append(tail)
         env.sim.run_for(trigger_offset)
-        device.record_trace(env.speaker_beacon, on_trace)
+        done: List[list] = []
+        if ticked:
+            device.record_trace(env.speaker_beacon, done.append)
+        else:
+            done.append(device.training_trace(env.speaker_beacon))
         env.sim.run_for(tail)
         if not done:
             raise WorkloadError(f"trace recording for {route_name!r} never completed")
-        features.append(done[0])
+        trace = RssiTrace.from_samples(done[0], label=route_name)
+        features.append(TraceFeatures.from_fit(trace.fit()))
     person.teleport(return_point)
     return features
 

@@ -96,6 +96,31 @@ class MobileDevice:
         task = PeriodicTask(self.sim, period, take_sample, first_delay=0.0)
         task.start()
 
+    def training_trace(
+        self,
+        beacon: BluetoothBeacon,
+        sample_count: int = TRACE_SAMPLE_COUNT,
+        period: float = TRACE_SAMPLE_PERIOD,
+    ) -> List[RssiSample]:
+        """The samples :meth:`record_trace` started now would deliver,
+        computed at once instead of over ``sample_count`` simulator ticks.
+
+        Sample times follow the ticked chain (``now + 0.0``, then
+        ``+ period`` per tick); positions come from the carrier's
+        current walk.  Exact only while nothing else draws from this
+        device's or its carrier's random stream, or moves the carrier,
+        before the trace would end: true of pre-recorded training walks,
+        not of live traces, where a push may arrive mid-trace.
+        """
+        times = []
+        t, period = self.sim.now + 0.0, float(period)
+        for _ in range(sample_count):
+            times.append(t)
+            t = t + period
+        positions = self.carrier.device_positions_at(times)
+        blocked = self.carrier.body_blocks_radio_many(sample_count)
+        return self.scanner.instant_rssi_many(beacon, times, positions, blocked)
+
     def instant_rssi(self, beacon: BluetoothBeacon) -> float:
         """Synchronous single measurement (calibration helper)."""
         return self.scanner.instant_rssi(beacon, self.sim.now).rssi

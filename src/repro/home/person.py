@@ -8,7 +8,7 @@ every person every frame.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -59,6 +59,20 @@ class Person:
         """Where a carried device sits (about a metre above the feet)."""
         return self.position.offset(dz=DEVICE_CARRY_HEIGHT)
 
+    def device_positions_at(self, times: Sequence[float]) -> List[Point]:
+        """:meth:`device_position` at each of ``times`` (sim seconds, not
+        before now), assuming the current walk is not replaced meanwhile."""
+        walk, started, anchor = self._walk, self._walk_started, self._anchor
+        positions = []
+        for time in times:
+            if walk is None:
+                feet = anchor
+            else:
+                elapsed = time - started
+                feet = walk.position_at(elapsed) if elapsed < walk.duration else walk.waypoints[-1]
+            positions.append(feet.offset(dz=DEVICE_CARRY_HEIGHT))
+        return positions
+
     def body_blocks_radio(self) -> bool:
         """Whether the carrier's body currently shadows the radio path.
 
@@ -67,6 +81,11 @@ class Person:
         paper (4 orientations per location).
         """
         return bool(self._rng.random() < 0.25)
+
+    def body_blocks_radio_many(self, count: int) -> np.ndarray:
+        """``count`` successive :meth:`body_blocks_radio` rolls in one
+        draw (``Generator.random(count)`` yields the scalar sequence)."""
+        return self._rng.random(count) < 0.25
 
     # -- movement ---------------------------------------------------------
     def add_movement_listener(self, listener) -> None:

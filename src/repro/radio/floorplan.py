@@ -160,6 +160,7 @@ class FloorPlan:
         self.slab_zones: List[SlabZone] = []
         # Vectorized wall substrate: rebuilt lazily after wall changes.
         self._wall_array: Optional[WallArray] = None
+        self._wall_rows: Optional[List[tuple]] = None
         self._crossing_cache: Dict[Tuple[float, ...], int] = {}
         self._version = 0
 
@@ -199,6 +200,7 @@ class FloorPlan:
 
     def _invalidate_geometry(self) -> None:
         self._wall_array = None
+        self._wall_rows = None
         self._crossing_cache.clear()
         self._version += 1
 
@@ -273,18 +275,58 @@ class FloorPlan:
         """Number of walls the straight path a->b penetrates.
 
         Results are memoized on the exact endpoint pair.  A single-pair
-        miss runs the per-wall python loop: with the handful of walls a
-        testbed has, numpy's fixed per-op overhead makes the vectorized
-        kernel a net loss for one pair (it wins ~5x per point once a
-        whole grid amortizes it — see :meth:`walls_crossed_many`).
+        miss runs one inlined python loop over a per-plan table of wall
+        floats, equivalent to :meth:`walls_crossed_scalar`: with the
+        handful of walls a testbed has, numpy's fixed per-op overhead
+        makes the vectorized kernel a net loss for one pair (it wins ~5x
+        per point once a whole grid amortizes it — see
+        :meth:`walls_crossed_many`).
         """
         key = (a.x, a.y, a.z, b.x, b.y, b.z)
         cached = self._crossing_cache.get(key)
         if cached is not None:
             return cached
-        count = self.walls_crossed_scalar(a, b)
+        rows = self._wall_rows
+        if rows is None:
+            rows = self._wall_rows = self._build_wall_rows()
+        # segment_crosses_wall inlined over every wall, operation for
+        # operation (the same products, division and tolerances).
+        ax, ay, az = a.x, a.y, a.z
+        rx, ry, dz = b.x - ax, b.y - ay, b.z - az
+        count = 0
+        for qx, qy, sx, sy, z_lo, z_hi, openings in rows:
+            denom = rx * sy - ry * sx
+            if abs(denom) < 1e-12:
+                continue
+            qpx, qpy = qx - ax, qy - ay
+            t = (qpx * sy - qpy * sx) / denom
+            if not -1e-9 <= t <= 1 + 1e-9:
+                continue
+            u = (qpx * ry - qpy * rx) / denom
+            if not -1e-9 <= u <= 1 + 1e-9:
+                continue
+            if not z_lo <= az + dz * t <= z_hi:
+                continue
+            for u_lo, u_hi in openings:
+                if u_lo <= u <= u_hi:
+                    break
+            else:
+                count += 1
         self._remember_crossing(key, count)
         return count
+
+    def _build_wall_rows(self) -> List[tuple]:
+        """Per wall: start, direction, tolerance-widened z range and door
+        intervals, as the scalar crossing test computes them."""
+        rows = []
+        for wall in self.walls:
+            (qx, qy), (ex, ey) = wall.start, wall.end
+            rows.append((
+                qx, qy, ex - qx, ey - qy,
+                wall.z_low - 1e-9, wall.z_high + 1e-9,
+                tuple((door.u_start - 1e-9, door.u_end + 1e-9) for door in wall.doors),
+            ))
+        return rows
 
     def walls_crossed_scalar(self, a: Point, b: Point) -> int:
         """Reference implementation: the original per-wall python loop."""

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -226,12 +226,14 @@ class PropagationModel:
     def sample_rssi_batch(
         self,
         tx: Point,
-        rx: Point,
+        rx: Union[Point, Sequence[Point]],
         rng: np.random.Generator,
         blocked: Sequence[bool],
     ) -> np.ndarray:
         """``len(blocked)`` noisy measurements in one vectorized draw.
 
+        ``rx`` is one receiver for every measurement, or a sequence
+        giving each measurement its own receiver (a moving scanner).
         Equivalent, bit-for-bit, to calling :meth:`sample_rssi` once per
         entry of ``blocked``: the scalar loop consumes the generator's
         bitstream as ``noise_0, [body_0,] noise_1, [body_1,] ...`` and a
@@ -241,7 +243,10 @@ class PropagationModel:
         ``loc + scale * standard_normal()``).
         """
         p = self.params
-        mean = self.mean_rssi(tx, rx)
+        if isinstance(rx, Point):
+            mean = self.mean_rssi(tx, rx)
+        else:
+            mean = self.mean_rssi_many(tx, rx)
         flags = np.asarray(blocked, dtype=bool)
         n = int(flags.size)
         if n == 0:

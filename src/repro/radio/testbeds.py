@@ -23,8 +23,9 @@ Figure 10.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FloorPlanError
 from repro.radio.floorplan import (
@@ -46,36 +47,52 @@ HOUSE_LEAK_POINT_NUMBERS = (55, 56, 59, 60, 61, 62)
 
 @dataclass
 class WalkRoute:
-    """A named walking route (Figure 10 vocabulary)."""
+    """A named walking route (Figure 10 vocabulary).
+
+    Segment lengths are computed once, on the first :meth:`position_at`
+    call: treat ``waypoints`` as fixed afterwards.
+    """
 
     name: str
     waypoints: List[Point]  # person positions (z = floor height walked on)
     duration: float  # seconds to traverse end to end
+    # Per-segment lengths, and the distance walked at the end of each
+    # segment accumulated in waypoint order (the last is the total).
+    _steps: Optional[Tuple[float, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
+    _ends: Optional[Tuple[float, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def _measure(self) -> Tuple[float, ...]:
+        steps, ends = [], []
+        walked = 0.0
+        for a, b in zip(self.waypoints, self.waypoints[1:]):
+            step = ((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2) ** 0.5
+            walked += step
+            steps.append(step)
+            ends.append(walked)
+        self._steps, self._ends = tuple(steps), tuple(ends)
+        return self._ends
 
     def position_at(self, t: float) -> Point:
         """Person position ``t`` seconds into the walk (clamped)."""
-        if not self.waypoints:
+        waypoints = self.waypoints
+        if not waypoints:
             raise FloorPlanError(f"route {self.name!r} has no waypoints")
-        if len(self.waypoints) == 1 or self.duration <= 0:
-            return self.waypoints[0]
+        ends = self._ends
+        if ends is None:
+            ends = self._measure()
+        if not ends or self.duration <= 0 or ends[-1] == 0:
+            return waypoints[0]
+        # Constant speed along the polyline: the first segment whose end
+        # reaches the target distance, or the last one.
         clamped = min(max(t, 0.0), self.duration)
-        # Constant speed along the polyline.
-        lengths = []
-        total = 0.0
-        for a, b in zip(self.waypoints, self.waypoints[1:]):
-            step = ((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2) ** 0.5
-            lengths.append(step)
-            total += step
-        if total == 0:
-            return self.waypoints[0]
-        target = total * clamped / self.duration
-        walked = 0.0
-        for (a, b), step in zip(zip(self.waypoints, self.waypoints[1:]), lengths):
-            if walked + step >= target or (a, b) == (self.waypoints[-2], self.waypoints[-1]):
-                frac = 0.0 if step == 0 else (target - walked) / step
-                return a.lerp(b, min(max(frac, 0.0), 1.0))
-            walked += step
-        return self.waypoints[-1]
+        target = ends[-1] * clamped / self.duration
+        index = min(bisect_left(ends, target), len(ends) - 1)
+        walked = ends[index - 1] if index else 0.0
+        step = self._steps[index]
+        frac = 0.0 if step == 0 else (target - walked) / step
+        return waypoints[index].lerp(waypoints[index + 1], min(max(frac, 0.0), 1.0))
 
 
 @dataclass
