@@ -96,7 +96,13 @@ BENCHES = {
     ),
     "BENCH_fleet_full.json": Bench(
         mode_path="smoke",
-        metrics=[Metric("speedup", floor=1.0)],
+        metrics=[
+            Metric("speedup", floor=1.0),
+            # Each path's own throughput: a change that slows pooled and
+            # cold builds alike leaves the ratio alone but fails these.
+            Metric("pooled_homes_per_sec"),
+            Metric("cold_homes_per_sec"),
+        ],
         invariants=["tables_identical", "streams_identical"],
     ),
     "BENCH_load.json": Bench(

@@ -113,14 +113,22 @@ class ThresholdCalibrator:
         carrier = device.carrier
         return_point = carrier.position
         carrier.follow(route)
-        samples: List[float] = []
-        end_time = self.env.sim.now + route.duration
-        while self.env.sim.now < end_time:
-            samples.append(device.instant_rssi(self.env.speaker_beacon))
-            self.env.sim.run_until(min(self.env.sim.now + SAMPLE_PERIOD, end_time))
+        sim = self.env.sim
+        started = sim.now
+        end_time = started + route.duration
+        # Walk through the same run_until chain a per-sample loop takes,
+        # noting each sample instant; then compute every sample in one
+        # pass (exact: nothing else draws from the device's or the
+        # carrier's stream during the walk).
+        instants: List[float] = []
+        while sim.now < end_time:
+            instants.append(sim.now)
+            sim.run_until(min(sim.now + SAMPLE_PERIOD, end_time))
         carrier.teleport(return_point)
-        if not samples:
+        if not instants:
             raise ConfigError("calibration walk produced no samples")
+        samples = device.walk_rssi(self.env.speaker_beacon, route, started,
+                                   instants).tolist()
         result = CalibrationResult(
             device_name=device.name,
             room_name=room.name,

@@ -8,7 +8,7 @@ every person every frame.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -58,20 +58,6 @@ class Person:
     def device_position(self) -> Point:
         """Where a carried device sits (about a metre above the feet)."""
         return self.position.offset(dz=DEVICE_CARRY_HEIGHT)
-
-    def device_positions_at(self, times: Sequence[float]) -> List[Point]:
-        """:meth:`device_position` at each of ``times`` (sim seconds, not
-        before now), assuming the current walk is not replaced meanwhile."""
-        walk, started, anchor = self._walk, self._walk_started, self._anchor
-        positions = []
-        for time in times:
-            if walk is None:
-                feet = anchor
-            else:
-                elapsed = time - started
-                feet = walk.position_at(elapsed) if elapsed < walk.duration else walk.waypoints[-1]
-            positions.append(feet.offset(dz=DEVICE_CARRY_HEIGHT))
-        return positions
 
     def body_blocks_radio(self) -> bool:
         """Whether the carrier's body currently shadows the radio path.

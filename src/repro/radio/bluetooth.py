@@ -11,7 +11,7 @@ visible component of the paper's Figure 7 query-latency distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -89,22 +89,6 @@ class BluetoothScanner:
             beacon.position, self.position_provider(), self._rng, body_blocked=blocked
         )
         return RssiSample(rssi=rssi, time=time, beacon_name=beacon.name, scanner_name=self.name)
-
-    def instant_rssi_many(
-        self,
-        beacon: BluetoothBeacon,
-        times: Sequence[float],
-        positions: Sequence[Point],
-        blocked: Sequence[bool],
-    ) -> List[RssiSample]:
-        """:meth:`instant_rssi` at each of ``times``, given the scanner's
-        position and body occlusion at each, with one batched noise draw
-        (same bitstream order as the per-sample calls)."""
-        rssi = self.model.sample_rssi_batch(beacon.position, positions, self._rng, blocked)
-        return [
-            RssiSample(rssi=value, time=time, beacon_name=beacon.name, scanner_name=self.name)
-            for value, time in zip(rssi.tolist(), times)
-        ]
 
     # A scan window catches several advertisement frames; the reported
     # RSSI is their average, which is much steadier than one frame.

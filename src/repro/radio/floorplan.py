@@ -370,6 +370,43 @@ class FloorPlan:
             total += penalty
         return total
 
+    def slab_penalties_coords(
+        self,
+        a: Point,
+        bx: np.ndarray,
+        by: np.ndarray,
+        bz: np.ndarray,
+        default_penalty: float,
+    ) -> np.ndarray:
+        """:meth:`slab_penalties` from ``a`` to each receiver ``(bx[i],
+        by[i], bz[i])``, vectorized per slab height.
+
+        The same pierce arithmetic as :func:`floor_crossing_points`; a
+        slab the path does not cross adds ``0.0``, and the first
+        matching zone wins, as in the scalar loop.
+        """
+        total = np.zeros(len(bx), dtype=np.float64)
+        dz = bz - a.z
+        flat = np.abs(dz) < 1e-12
+        z_low, z_high = np.minimum(a.z, bz), np.maximum(a.z, bz)
+        for height in self.floor_heights:
+            crossed = ~flat & (z_low < height) & (height < z_high)
+            if not crossed.any():
+                continue
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = (height - a.z) / dz
+                x = a.x + (bx - a.x) * t
+                y = a.y + (by - a.y) * t
+            penalty = np.full(len(bx), default_penalty, dtype=np.float64)
+            zones = [zone for zone in self.slab_zones
+                     if abs(height - zone.slab_height) <= 1e-6]
+            for zone in reversed(zones):
+                covered = ((zone.x0 <= x) & (x <= zone.x1)
+                           & (zone.y0 <= y) & (y <= zone.y1))
+                penalty[covered] = zone.attenuation
+            total = total + np.where(crossed, penalty, 0.0)
+        return total
+
     def same_room(self, a: Point, b: Point) -> bool:
         """Whether two points share a room."""
         room_a, room_b = self.room_of(a), self.room_of(b)

@@ -154,10 +154,11 @@ class WallArray:
 
     Answers :func:`segment_crosses_wall` for every wall at once
     (:meth:`crossing_mask`) or for every (wall, receiver) pair of a
-    measurement grid (:meth:`crossing_counts_many`).  The arithmetic
-    mirrors the scalar reference operation-for-operation — same float64
-    products, same division, same ``1e-12`` / ``1e-9`` tolerances — so
-    the resulting crossing counts are identical, not merely close.
+    measurement grid or a recorded walk (:meth:`crossing_counts_coords`).
+    The arithmetic mirrors the scalar reference operation-for-operation —
+    same float64 products, same division, same ``1e-12`` / ``1e-9``
+    tolerances — so the resulting crossing counts are identical, not
+    merely close.
 
     Walls are static once a plan is built; the owning
     :class:`~repro.radio.floorplan.FloorPlan` rebuilds the array when a
@@ -221,17 +222,27 @@ class WallArray:
         return ok
 
     def crossing_counts_many(self, a: Point, points: Sequence[Point]) -> np.ndarray:
-        """Crossing counts from ``a`` to each receiver, as one matrix op.
+        """Crossing counts from ``a`` to each receiver in ``points``
+        (:meth:`crossing_counts_coords` on their coordinates)."""
+        return self.crossing_counts_coords(
+            a,
+            np.array([q.x for q in points], dtype=np.float64),
+            np.array([q.y for q in points], dtype=np.float64),
+            np.array([q.z for q in points], dtype=np.float64),
+        )
 
-        Returns an int64 array aligned with ``points``; entry *i* equals
-        ``sum(segment_crosses_wall(a, points[i], wall) for wall in walls)``.
+    def crossing_counts_coords(
+        self, a: Point, bx: np.ndarray, by: np.ndarray, bz: np.ndarray
+    ) -> np.ndarray:
+        """Crossing counts from ``a`` to each receiver ``(bx[i], by[i],
+        bz[i])``, as one (walls x receivers) matrix op.
+
+        Returns an int64 array; entry *i* equals ``sum(segment_crosses_wall(a,
+        Point(bx[i], by[i], bz[i]), wall) for wall in walls)``.
         """
-        n = len(points)
+        n = len(bx)
         if self.count == 0 or n == 0:
             return np.zeros(n, dtype=np.int64)
-        bx = np.array([q.x for q in points], dtype=np.float64)
-        by = np.array([q.y for q in points], dtype=np.float64)
-        bz = np.array([q.z for q in points], dtype=np.float64)
         rx = bx - a.x  # (n,)
         ry = by - a.y
         qpx = (self.qx - a.x)[:, None]  # (m, 1)
@@ -239,7 +250,7 @@ class WallArray:
         sx = self.sx[:, None]
         sy = self.sy[:, None]
         denom = rx[None, :] * sy - ry[None, :] * sx  # (m, n)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t = (qpx * sy - qpy * sx) / denom
             u = (qpx * ry[None, :] - qpy * rx[None, :]) / denom
             z = a.z + (bz[None, :] - a.z) * t

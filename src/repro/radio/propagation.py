@@ -25,18 +25,26 @@ scalar reference:
   pair (``_mean_cache``) and its SHA-256-derived shadowing term is a
   seeded field cached per quantized key (``_shadow_cache``), so the
   hash runs once per 0.25 m cell instead of once per sample;
-* ``mean_rssi_many`` evaluates a whole measurement grid with numpy
-  (vectorized distances and wall counts via
-  :meth:`FloorPlan.walls_crossed_many`);
-* ``sample_rssi_batch`` / ``average_rssi_batch`` draw all per-sample
-  noise as one ``Generator.standard_normal(size)`` array, consuming the
-  bitstream in exactly the order of the scalar loop.
+* ``mean_rssi_coords`` is the one vectorized kernel: it takes the
+  receivers as coordinate arrays (distances, wall counts via
+  :meth:`WallArray.crossing_counts_coords`, slab penalties per slab
+  height, shadowing once per unique 0.25 m cell) and writes no memo.
+  ``mean_rssi_many`` runs it on a grid's memo misses; recorded walks
+  (floor-tracker training, threshold calibration) run it on every
+  sample position at once;
+* ``sample_rssi_batch`` / ``sample_rssi_coords`` / ``average_rssi_batch``
+  draw all per-sample noise as one ``Generator.standard_normal(size)``
+  array, consuming the bitstream in exactly the order of the scalar
+  loop.
 
 Note on ``np.log10``: the batch path deliberately keeps numpy's log10
 (array form) rather than ``math.log10``.  Numpy's scalar and array
 ufunc loops agree bit-for-bit, but ``math.log10`` differs from them by
 1 ulp on ~3 % of inputs — swapping it in would silently change every
 table.  ``math.sqrt``/``np.sqrt`` are IEEE-exact and interchangeable.
+Squares are the opposite case: the scalar reference squares with
+``** 2`` (libm's ``pow``), which ``np.float_power`` reproduces and a
+product does not.
 """
 
 from __future__ import annotations
@@ -131,11 +139,10 @@ class PropagationModel:
     def mean_rssi_many(self, tx: Point, points: Sequence[Point]) -> np.ndarray:
         """Expected RSSI from ``tx`` to every receiver, vectorized.
 
-        Bit-identical to ``[mean_rssi(tx, rx) for rx in points]``: the
-        distance/path-loss arithmetic runs as elementwise float64 ops in
-        the same order as the scalar path, wall counts come from the
-        broadcasted kernel, and results are written into the same memo
-        ``mean_rssi`` reads (so a following sampling pass is all hits).
+        Bit-identical to ``[mean_rssi(tx, rx) for rx in points]``: memo
+        misses go through :meth:`mean_rssi_coords` in one pass, and the
+        results are written into the same memo ``mean_rssi`` reads (so a
+        following sampling pass is all hits).
         """
         self._check_plan_version()
         n = len(points)
@@ -149,46 +156,75 @@ class PropagationModel:
                 out[index] = cached
         if not missing:
             return out
-        p = self.params
         subset = [points[i] for i in missing]
-        dx = np.array([tx.x - rx.x for rx in subset], dtype=np.float64)
-        dy = np.array([tx.y - rx.y for rx in subset], dtype=np.float64)
-        dz = np.array([tx.z - rx.z for rx in subset], dtype=np.float64)
-        d = np.maximum(np.sqrt(dx * dx + dy * dy + dz * dz), p.reference_distance)
-        path_loss = p.path_loss_per_decade * np.log10(d / p.reference_distance)
-        walls = self.plan.walls_crossed_many(tx, subset)
-        slab = np.array(
-            [self.plan.slab_penalties(tx, rx, p.floor_penalty) for rx in subset],
-            dtype=np.float64,
-        )
-        shadow = np.array(
-            [self._static_shadowing(tx, rx) for rx in subset], dtype=np.float64
-        )
-        rssi = np.maximum(
-            p.reference_rssi - path_loss - p.wall_penalty * walls - slab + shadow,
-            p.rssi_floor,
+        rssi = self.mean_rssi_coords(
+            tx,
+            np.array([rx.x for rx in subset], dtype=np.float64),
+            np.array([rx.y for rx in subset], dtype=np.float64),
+            np.array([rx.z for rx in subset], dtype=np.float64),
         )
         if len(self._mean_cache) + len(missing) >= _MEAN_CACHE_MAX:
             self._mean_cache.clear()
-        for slot, index in enumerate(missing):
-            value = float(rssi[slot])
-            rx = points[index]
+        for index, rx, value in zip(missing, subset, rssi.tolist()):
             self._mean_cache[(tx.x, tx.y, tx.z, rx.x, rx.y, rx.z)] = value
             out[index] = value
         return out
+
+    def mean_rssi_coords(
+        self, tx: Point, xs: np.ndarray, ys: np.ndarray, zs: np.ndarray
+    ) -> np.ndarray:
+        """Expected RSSI from ``tx`` to each receiver ``(xs[i], ys[i],
+        zs[i])``, in one array pass and without memoization.
+
+        Entry *i* equals ``mean_rssi_uncached(tx, Point(xs[i], ys[i],
+        zs[i]))`` bit for bit: the distance and path-loss arithmetic runs
+        as elementwise float64 ops in the scalar order, wall counts and
+        slab penalties come from their coordinate kernels, and the
+        shadowing term is looked up once per unique 0.25 m cell.
+        """
+        self._check_plan_version()
+        p = self.params
+        # float_power runs libm's pow, as the scalar ``** 2`` does; a
+        # product (or np.power / np.square) is correctly rounded and
+        # differs from pow by an ulp on ~0.1 % of inputs.
+        d = np.maximum(
+            np.sqrt(np.float_power(tx.x - xs, 2) + np.float_power(tx.y - ys, 2)
+                    + np.float_power(tx.z - zs, 2)),
+            p.reference_distance,
+        )
+        path_loss = p.path_loss_per_decade * np.log10(d / p.reference_distance)
+        walls = self.plan.wall_array.crossing_counts_coords(tx, xs, ys, zs)
+        slab = self.plan.slab_penalties_coords(tx, xs, ys, zs, p.floor_penalty)
+        # round() rounds half to even, as np.rint does.
+        cells = np.rint(np.stack((xs, ys, zs), axis=1) * 4).astype(np.int64)
+        unique, inverse = np.unique(cells, axis=0, return_inverse=True)
+        tx_cell = (round(tx.x * 4), round(tx.y * 4), round(tx.z * 4))
+        shadow = np.array(
+            [self._shadow_cell(tx_cell + tuple(cell)) for cell in unique.tolist()],
+            dtype=np.float64,
+        )[inverse.reshape(-1)]
+        return np.maximum(
+            p.reference_rssi - path_loss - p.wall_penalty * walls - slab + shadow,
+            p.rssi_floor,
+        )
 
     def _static_shadowing(self, tx: Point, rx: Point) -> float:
         """Deterministic zero-mean shadowing tied to the endpoint pair.
 
         Positions are quantized to 0.25 m so that small mobility steps
-        see a smooth-ish field rather than white noise.  The SHA-256
-        evaluation runs once per quantized cell; afterwards the value
-        comes from the seeded field cache.
+        see a smooth-ish field rather than white noise.
         """
-        qkey = (
+        return self._shadow_cell((
             round(tx.x * 4), round(tx.y * 4), round(tx.z * 4),
             round(rx.x * 4), round(rx.y * 4), round(rx.z * 4),
-        )
+        ))
+
+    def _shadow_cell(self, qkey: Tuple[int, ...]) -> float:
+        """The shadowing of one quantized endpoint-pair cell.
+
+        The SHA-256 evaluation runs once per cell; afterwards the value
+        comes from the seeded field cache.
+        """
         value = self._shadow_cache.get(qkey)
         if value is not None:
             return value
@@ -226,14 +262,36 @@ class PropagationModel:
     def sample_rssi_batch(
         self,
         tx: Point,
-        rx: Union[Point, Sequence[Point]],
+        rx: Point,
         rng: np.random.Generator,
         blocked: Sequence[bool],
     ) -> np.ndarray:
-        """``len(blocked)`` noisy measurements in one vectorized draw.
+        """``len(blocked)`` noisy measurements at ``rx`` in one
+        vectorized draw (see :meth:`_add_noise`)."""
+        return self._add_noise(self.mean_rssi(tx, rx), rng, blocked)
 
-        ``rx`` is one receiver for every measurement, or a sequence
-        giving each measurement its own receiver (a moving scanner).
+    def sample_rssi_coords(
+        self,
+        tx: Point,
+        xs: np.ndarray,
+        ys: np.ndarray,
+        zs: np.ndarray,
+        rng: np.random.Generator,
+        blocked: Sequence[bool],
+    ) -> np.ndarray:
+        """One noisy measurement at each receiver ``(xs[i], ys[i], zs[i])``
+        (a moving scanner), means from :meth:`mean_rssi_coords` and one
+        vectorized noise draw (see :meth:`_add_noise`)."""
+        return self._add_noise(self.mean_rssi_coords(tx, xs, ys, zs), rng, blocked)
+
+    def _add_noise(
+        self,
+        mean: Union[float, np.ndarray],
+        rng: np.random.Generator,
+        blocked: Sequence[bool],
+    ) -> np.ndarray:
+        """Per-sample noise on ``mean``, one draw per entry of ``blocked``.
+
         Equivalent, bit-for-bit, to calling :meth:`sample_rssi` once per
         entry of ``blocked``: the scalar loop consumes the generator's
         bitstream as ``noise_0, [body_0,] noise_1, [body_1,] ...`` and a
@@ -243,10 +301,6 @@ class PropagationModel:
         ``loc + scale * standard_normal()``).
         """
         p = self.params
-        if isinstance(rx, Point):
-            mean = self.mean_rssi(tx, rx)
-        else:
-            mean = self.mean_rssi_many(tx, rx)
         flags = np.asarray(blocked, dtype=bool)
         n = int(flags.size)
         if n == 0:

@@ -27,6 +27,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import FloorPlanError
 from repro.radio.floorplan import (
     DEVICE_CARRY_HEIGHT,
@@ -93,6 +95,36 @@ class WalkRoute:
         step = self._steps[index]
         frac = 0.0 if step == 0 else (target - walked) / step
         return waypoints[index].lerp(waypoints[index + 1], min(max(frac, 0.0), 1.0))
+
+    def coords_at(self, times: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`position_at` for each of ``times``, as ``(x, y, z)``
+        coordinate arrays, with the same element-wise float operations:
+        the clamp, the target distance, ``bisect_left`` as
+        ``searchsorted(side="left")``, the clamped fraction and the lerp.
+        """
+        waypoints = self.waypoints
+        if not waypoints:
+            raise FloorPlanError(f"route {self.name!r} has no waypoints")
+        ends = self._ends
+        if ends is None:
+            ends = self._measure()
+        times = np.asarray(times, dtype=np.float64)
+        if not ends or self.duration <= 0 or ends[-1] == 0:
+            first = waypoints[0]
+            return (np.full(times.shape, first.x), np.full(times.shape, first.y),
+                    np.full(times.shape, first.z))
+        clamped = np.minimum(np.maximum(times, 0.0), self.duration)
+        target = ends[-1] * clamped / self.duration
+        index = np.minimum(np.searchsorted(ends, target, side="left"), len(ends) - 1)
+        walked = np.array((0.0,) + ends[:-1])[index]
+        step = np.array(self._steps)[index]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = np.where(step == 0, 0.0, (target - walked) / step)
+        frac = np.minimum(np.maximum(frac, 0.0), 1.0)
+        columns = np.array([(point.x, point.y, point.z) for point in waypoints]).T
+        start = columns[:, index]
+        x, y, z = start + (columns[:, index + 1] - start) * frac
+        return x, y, z
 
 
 @dataclass
