@@ -29,36 +29,12 @@ import time
 from typing import List, Tuple
 
 from repro.experiments.scenarios import build_scenario
-from repro.experiments.workload import SevenDayWorkload
+from repro.experiments.workload import SEVEN_DAY_COUNTS, SevenDayWorkload
 
 OVERHEAD_BUDGET = 0.10  # tracing may cost at most 10 % wall time
 
-# The Table II house/echo/loc1 cell counts (paper totals).
-FULL_COUNTS = (91, 69)
+# A short variant of the paper's Table II house/echo/loc1 counts.
 SMOKE_COUNTS = (10, 7)
-
-
-def _event_stream(guard) -> List[tuple]:
-    """The guard's command-event stream, as comparable tuples."""
-    stream = []
-    for event in guard.log.events:
-        stream.append((
-            event.window_id,
-            event.flow_id,
-            event.speaker_ip,
-            event.protocol,
-            event.opened_at,
-            event.classification.value if event.classification else None,
-            event.classified_at,
-            event.classify_packet_count,
-            event.verdict.value if event.verdict else None,
-            event.verdict_at,
-            event.released_at,
-            event.discarded_at,
-            event.held_records,
-            tuple(repr(report) for report in event.rssi_reports),
-        ))
-    return stream
 
 
 def _run_cell(tracing: bool, seed: int, legit: int,
@@ -71,12 +47,12 @@ def _run_cell(tracing: bool, seed: int, legit: int,
     workload.run(legit, malicious)
     scenario.speaker.settle_all()
     elapsed = time.perf_counter() - start
-    return elapsed, _event_stream(scenario.guard), len(scenario.env.obs.tracer)
+    return elapsed, scenario.guard.log.stream(), len(scenario.env.obs.tracer)
 
 
 def run_bench(seed: int = 7, repeats: int = 3, smoke: bool = False) -> dict:
     """Time tracing-off vs tracing-on; returns the JSON payload."""
-    legit, malicious = SMOKE_COUNTS if smoke else FULL_COUNTS
+    legit, malicious = SMOKE_COUNTS if smoke else SEVEN_DAY_COUNTS
     repeats = 1 if smoke else repeats
     off_times: List[float] = []
     on_times: List[float] = []

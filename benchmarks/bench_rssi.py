@@ -1,27 +1,37 @@
+#!/usr/bin/env python
 """Microbenchmarks for the RSSI kernel, wall geometry, and event queue.
 
-``run_bench_rssi`` times the radio hot path at every layer — the pre-PR
-scalar reference (re-implemented here, verbatim, so the "before" cost
-stays measurable after the optimization), the memoized scalar path, the
-vectorized batch APIs, the wall-crossing kernels, and event-queue
-dispatch — and emits a machine-readable ``BENCH_rssi.json`` so later
-PRs have a perf trajectory to regress against.
-
-Run it with ``python -m repro bench-rssi`` (or
-``benchmarks/run_benches.sh``); the committed artifact lives at
-``benchmarks/results/BENCH_rssi.json``.
+``run_bench_rssi`` times the radio hot path at every layer — the
+original scalar reference (re-implemented here, verbatim, so the
+"before" cost stays measurable after the optimization), the memoized
+scalar path, the vectorized batch APIs, the wall-crossing kernels, and
+event-queue dispatch — and emits a machine-readable ``BENCH_rssi.json``
+so later changes have a perf trajectory to regress against.
 
 Every before/after pair is also *checked for equality* while being
 timed: a speedup that changed the numbers would be a bug, not a win.
+The run fails unless the batched grid-map kernel beats the scalar
+reference by at least 5x, and unless reading the queue's O(1) pending
+count stays cheaper than a queue operation.
+
+Usage (from the repository root)::
+
+    PYTHONPATH=src python benchmarks/bench_rssi.py
+    PYTHONPATH=src python benchmarks/bench_rssi.py --seconds 0.05   # quick
+
+Writes ``benchmarks/results/BENCH_rssi.json``.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import pathlib
 import platform
+import sys
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -31,9 +41,10 @@ from repro.radio.testbeds import testbed_by_name
 from repro.sim.events import EventQueue
 
 GRID_SAMPLES = 16  # the paper's 4 orientations x 4 measurements
+GRID_MAP_FLOOR = 5.0  # batched grid map vs the scalar reference
 
 
-# -- the pre-optimization reference, kept runnable ------------------------
+# -- the original scalar reference, kept runnable -------------------------
 def reference_mean_rssi(model: PropagationModel, tx: Point, rx: Point) -> float:
     """The seed repo's ``mean_rssi``: no memo, per-call SHA-256, per-wall
     python loop.  This is the "before" every speedup is measured against."""
@@ -271,11 +282,38 @@ def render_bench(payload: Dict) -> str:
     return "\n".join(lines)
 
 
-def write_bench(path: str, payload: Optional[Dict] = None, **kwargs) -> Dict:
-    """Run (if needed) and persist the bench payload as JSON."""
-    if payload is None:
-        payload = run_bench_rssi(**kwargs)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    return payload
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--testbed", choices=["house", "apartment", "office"],
+                        default="house")
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seconds", type=float, default=0.2,
+                        help="minimum wall time per microbenchmark")
+    parser.add_argument("--output", default="benchmarks/results/BENCH_rssi.json")
+    args = parser.parse_args(argv)
+
+    payload = run_bench_rssi(testbed_name=args.testbed, seed=args.seed,
+                             min_seconds=args.seconds)
+    print(render_bench(payload))
+
+    target = pathlib.Path(args.output)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    print(f"(written to {target})")
+
+    grid_map = payload["speedups"]["grid_map"]
+    if grid_map < GRID_MAP_FLOOR:
+        print(f"FAIL: grid-map speedup {grid_map}x below the "
+              f"{GRID_MAP_FLOOR:.0f}x floor", file=sys.stderr)
+        return 1
+    benches = payload["benches"]
+    if (benches["pending_events_read_10k"]["usec_per_op"]
+            >= benches["event_push_pop"]["usec_per_op"]):
+        print("FAIL: reading the pending-event count costs as much as a "
+              "queue operation", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -21,10 +21,11 @@
 #
 # Every bench asserts, before timing, that the optimized path reproduces
 # its reference bit-for-bit (RSSI: batched kernels vs scalar reference;
-# sim: guard event streams legacy vs current kernel; load: concurrency
-# knobs on vs off on a single flow; recognition: same-seed retrains and
-# serial-vs-parallel grid tables), so a passing run doubles as an
-# equivalence check.
+# sim: guard event stream and final clock identical on every repeat;
+# load: concurrency knobs on vs off on a single flow; recognition:
+# same-seed retrains and serial-vs-parallel grid tables), so a passing
+# run doubles as an equivalence check.  The sim bench has no smoke mode:
+# a full run takes seconds, so --smoke runs it in full too.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -35,10 +36,9 @@ OUT="${BENCH_RESULTS_DIR:-benchmarks/results}"
 mkdir -p "$OUT"
 
 if [ "${1:-}" = "--smoke" ]; then
-    python -m repro bench-rssi --seed 7 --seconds 0.05 \
+    python benchmarks/bench_rssi.py --seed 7 --seconds 0.05 \
         --output "$OUT/BENCH_rssi.json"
-    python -m repro bench-sim --seed 11 --smoke \
-        --output "$OUT/BENCH_sim.json"
+    python benchmarks/bench_sim.py --seed 11 --output "$OUT/BENCH_sim.json"
     python benchmarks/bench_obs_overhead.py --smoke \
         --output "$OUT/BENCH_obs.json"
     python benchmarks/bench_fleet.py --smoke \
@@ -52,8 +52,8 @@ if [ "${1:-}" = "--smoke" ]; then
     exit 0
 fi
 
-python -m repro bench-rssi --seed 7 --output "$OUT/BENCH_rssi.json"
-python -m repro bench-sim --seed 11 --output "$OUT/BENCH_sim.json"
+python benchmarks/bench_rssi.py --seed 7 --output "$OUT/BENCH_rssi.json"
+python benchmarks/bench_sim.py --seed 11 --output "$OUT/BENCH_sim.json"
 python benchmarks/bench_obs_overhead.py --output "$OUT/BENCH_obs.json"
 python benchmarks/bench_fleet.py --output "$OUT/BENCH_fleet.json"
 python benchmarks/bench_fleet_full.py --output "$OUT/BENCH_fleet_full.json"

@@ -57,6 +57,31 @@ class CommandEvent:
             return None
         return self.verdict_at - self.opened_at
 
+    def stream_row(self) -> tuple:
+        """This event as one comparable row of the guard event stream.
+
+        The row holds every field that decides a detection outcome:
+        timestamps, classification, verdict, packet counts, held
+        records, and the RSSI reports' reprs.  Two runs that agree on
+        every row made the same decisions at the same simulated times.
+        """
+        return (
+            self.window_id,
+            self.flow_id,
+            self.speaker_ip,
+            self.protocol,
+            self.opened_at,
+            self.classification.value if self.classification else None,
+            self.classified_at,
+            self.classify_packet_count,
+            self.verdict.value if self.verdict else None,
+            self.verdict_at,
+            self.released_at,
+            self.discarded_at,
+            self.held_records,
+            tuple(repr(report) for report in self.rssi_reports),
+        )
+
 
 class GuardLog:
     """Append-only log of :class:`CommandEvent` with query helpers."""
@@ -84,6 +109,12 @@ class GuardLog:
 
     def __iter__(self):
         return iter(self.events)
+
+    def stream(self) -> List[tuple]:
+        """The guard event stream: :meth:`CommandEvent.stream_row` of
+        every event, in log order.  The byte-identity oracle of every
+        change that is not meant to change behaviour."""
+        return [event.stream_row() for event in self.events]
 
     def commands(self) -> List[CommandEvent]:
         """Events classified as commands."""

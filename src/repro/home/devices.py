@@ -19,7 +19,6 @@ from repro.radio.bluetooth import BluetoothBeacon, BluetoothScanner, RssiSample
 from repro.radio.floorplan import DEVICE_CARRY_HEIGHT
 from repro.radio.propagation import PropagationModel
 from repro.radio.testbeds import WalkRoute
-from repro.sim import compat
 from repro.sim.process import PeriodicTask
 from repro.sim.simulator import Simulator
 
@@ -175,10 +174,13 @@ class MotionSensor:
     every tracked person stands still outside the region the sensor
     sleeps entirely, re-joining its 0.25 s poll grid when a
     movement listener (:meth:`Person.add_movement_listener`) wakes it.
-    The instants at which a poll *observes* anything are exactly the
-    legacy schedule's, so fire times are bit-identical; only the no-op
-    wakeups disappear.  ``repro.sim.compat`` legacy mode keeps the
-    original poll-every-tick behaviour for the kernel benchmark.
+    The instants at which a poll *observes* anything are exactly those
+    of a poller that checks on every grid tick, so fire times match it
+    bit for bit; only the no-op wakeups disappear.  The one exception
+    is a move landing exactly on a grid instant: the every-tick poller
+    sees it at that instant or the next depending on when the move was
+    scheduled, and a sleeping sensor always sees it on the next tick.
+    ``tests/test_motion_sensor_gating.py`` checks both.
     """
 
     POLL_PERIOD = 0.25
@@ -206,18 +208,11 @@ class MotionSensor:
         self._stopped = True
         self._next_poll = 0.0
         self._poll_handle = None
-        if compat.legacy_kernel_enabled():
-            self._task = PeriodicTask(sim, self.POLL_PERIOD, self._poll, first_delay=self.POLL_PERIOD)
-        else:
-            self._task = None
-            for person in persons:
-                person.add_movement_listener(self._on_person_moved)
+        for person in persons:
+            person.add_movement_listener(self._on_person_moved)
 
     def start(self) -> None:
         """Begin polling for motion."""
-        if self._task is not None:
-            self._task.start()
-            return
         if not self._stopped:
             return
         self._stopped = False
@@ -226,9 +221,6 @@ class MotionSensor:
 
     def stop(self) -> None:
         """Stop polling."""
-        if self._task is not None:
-            self._task.stop()
-            return
         self._stopped = True
         if self._poll_handle is not None:
             self._poll_handle.cancel()
@@ -253,23 +245,24 @@ class MotionSensor:
             if self.on_motion is not None:
                 self.on_motion(now)
 
-    # -- gated polling (optimized kernel) -------------------------------
+    # -- gated polling ---------------------------------------------------
     def _poll_event(self) -> None:
         self._poll_handle = None
         if self._stopped:
             return
         now = self._next_poll
         self._poll(now)
-        # Advancing by repeated addition reproduces PeriodicTask's grid
-        # exactly (each fire schedules the next at fire time + period).
+        # Advancing by repeated addition reproduces an every-tick
+        # PeriodicTask's grid exactly (each fire schedules the next at
+        # fire time + period).
         self._next_poll = now + self.POLL_PERIOD
         self._schedule_next()
 
     def _schedule_next(self) -> None:
-        # Fast-forward through the refractory window: legacy polls in it
-        # return before reading any position, so nothing observable can
-        # happen until the first grid instant past it.  The loop repeats
-        # the legacy per-tick comparison so the landing tick is
+        # Fast-forward through the refractory window: every-tick polls in
+        # it return before reading any position, so nothing observable
+        # can happen until the first grid instant past it.  The loop
+        # repeats _poll's per-tick comparison so the landing tick is
         # float-exact.
         t = self._next_poll
         last_fired = self._last_fired
@@ -297,11 +290,13 @@ class MotionSensor:
         t = self._next_poll
         now = self.sim.now
         period = self.POLL_PERIOD
-        if now - t > 64.0 * period:
-            # After a long sleep, stepping tick by tick is O(gap).  The
-            # grid lives on multiples of the (dyadic) poll period, where
-            # one fused jump is float-exact, so land a few ticks short
-            # and let the exact per-tick addition finish the walk.
+        if now - t > 64.0 * period and t % period == 0.0:
+            # After a long sleep, stepping tick by tick is O(gap).  On
+            # multiples of the (dyadic) poll period, where a sensor
+            # started on one stays, one fused jump lands on the same
+            # float as the per-tick additions, so land a few ticks short
+            # and let the per-tick addition finish the walk.  A grid
+            # off those multiples accumulates rounding no jump repeats.
             t += int((now - t) / period - 2.0) * period
         while t <= now:
             t += period

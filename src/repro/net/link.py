@@ -17,7 +17,6 @@ from typing import Callable, Dict, List, Optional
 from repro.errors import NetworkError
 from repro.net.addresses import IPv4Address
 from repro.net.packet import Packet, Protocol
-from repro.sim import compat
 from repro.sim.random import RngHub
 from repro.sim.simulator import Simulator
 
@@ -174,7 +173,6 @@ class Network:
         self._observers: List[PacketObserver] = []
         self._last_delivery: Dict[tuple, float] = {}
         self.delivered_count = 0
-        self._legacy = compat.legacy_kernel_enabled()
         self._clock = sim._clock
         # (origin_ip, src, dst) -> Route.  Routing only changes when the
         # topology does, so everything derivable from the key is
@@ -274,9 +272,6 @@ class Network:
         whichever delivery path it then takes, so the ``net.jitter``
         stream and every arrival time are the same on all paths.
         """
-        if self._legacy:
-            self._send_legacy(origin, packet)
-            return
         now = self._clock._now
         packet.send_time = now
         route = packet.route
@@ -309,25 +304,6 @@ class Network:
             self.sim._queue.post(arrival, self._deliver_tcp, (packet, route))
         else:
             self.sim._queue.post(arrival, self._deliver, (packet, route.target, route.scope))
-
-    def _send_legacy(self, origin: Host, packet: Packet) -> None:
-        """The pre-PR send path, kept verbatim as the benchmark
-        baseline: per-packet routing and RFC1918 checks, scalar jitter
-        draws, a cancellable heap entry per delivery, and no floor
-        pruning (see :mod:`repro.sim.compat`)."""
-        packet.send_time = self.sim.now
-        target = self._route(origin, packet)
-        crosses_wan = not (
-            _is_private_uncached(packet.src.ip) and _is_private_uncached(packet.dst.ip)
-        )
-        if crosses_wan and self.wan_loss > 0.0 and self._loss_rng.random() < self.wan_loss:
-            self.packets_lost += 1
-            return
-        latency = self._latency(origin.ip, target.ip)
-        key = (packet.src.ip, packet.dst.ip, packet.protocol)
-        arrival = max(self.sim.now + latency, self._last_delivery.get(key, 0.0) + 1e-6)
-        self._last_delivery[key] = arrival
-        self.sim.schedule_at(arrival, self._deliver, packet, target)
 
     def _route_for(self, origin: Host, packet: Packet) -> Route:
         """The cached :class:`Route` for ``packet`` sent by ``origin``."""
@@ -377,20 +353,10 @@ class Network:
                 return tap
         return self.host_for(packet.dst.ip)
 
-    def _latency(self, a: IPv4Address, b: IPv4Address) -> float:
-        base = (
-            self.lan_latency
-            if (_is_private_uncached(a) and _is_private_uncached(b))
-            else self.wan_latency
-        )
-        return base * (1.0 + self.jitter * float(self._rng.random()))
-
-    def _deliver(self, packet: Packet, target: Host, scope: Optional[str] = None) -> None:
+    def _deliver(self, packet: Packet, target: Host, scope: str) -> None:
         """The general delivery path: observers first, then the tap or
         the host's protocol stacks."""
         self.delivered_count += 1
-        if scope is None:
-            scope = "lan" if (packet.src.ip.is_private and packet.dst.ip.is_private) else "wan"
         for observer in self._observers:
             observer(packet, scope)
         if isinstance(target, TapHost) and packet.dst.ip != target.ip:
@@ -417,16 +383,3 @@ class Network:
         else:
             route.target.receive(packet)
 
-
-def _is_private_uncached(ip: IPv4Address) -> bool:
-    """The pre-PR per-call RFC1918 check (re-parses the dotted quad).
-
-    Only the legacy benchmark baseline uses it, so the cost the cached
-    :attr:`IPv4Address.is_private` removed stays measurable.
-    """
-    octets = [int(part) for part in ip.text.split(".")]
-    if octets[0] == 10:
-        return True
-    if octets[0] == 192 and octets[1] == 168:
-        return True
-    return octets[0] == 172 and 16 <= octets[1] <= 31

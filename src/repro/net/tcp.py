@@ -29,7 +29,6 @@ from repro.errors import ConnectionClosedError, NetworkError
 from repro.net.addresses import Endpoint
 from repro.net.link import Host
 from repro.net.packet import Packet, Protocol, TcpFlags, TlsRecordType
-from repro.sim import compat
 from repro.sim.process import DeadlineTimer
 
 # Integer flag masks and pre-built combinations: ``enum.Flag``'s
@@ -91,15 +90,18 @@ class TcpConnection:
         ``reason`` is one of ``"fin"``, ``"rst"``, ``"timeout"``,
         ``"local"``.
 
-    An ESTABLISHED connection on the optimized kernel takes the
-    *established-flow path* for the two segments that make up nearly
-    all traffic, a pure ACK and an in-order data segment with nothing
-    buffered out of order: it handles them inline, without the general
-    state machine.  Every other segment, state, and the legacy kernel
-    take the general path in :meth:`handle`.  The keepalive deadline is
-    never bumped per segment: the keepalive callback re-arms itself at
-    ``_last_rx_time + keepalive_idle`` when traffic arrived since, the
-    same instant a per-segment bump would have produced.
+    An ESTABLISHED connection takes the *established-flow path* for the
+    two segments that make up nearly all traffic, a pure ACK and an
+    in-order data segment with nothing buffered out of order: it
+    handles them inline, without the general state machine.  Every
+    other segment and state takes the general path in :meth:`handle`.
+    The retransmission and keepalive timers are
+    :class:`~repro.sim.process.DeadlineTimer` objects, so re-arming
+    one on an advancing ACK moves a deadline instead of pushing a heap
+    entry.  The keepalive deadline is never bumped per segment: the
+    keepalive callback re-arms itself at ``_last_rx_time +
+    keepalive_idle`` when traffic arrived since, the same instant a
+    per-segment bump would have produced.
     """
 
     # Slots keep each connection small: a world holds hundreds of
@@ -109,8 +111,8 @@ class TcpConnection:
         "stack", "local", "remote", "tuning", "state",
         "on_established", "on_record", "on_close",
         "snd_next", "rcv_next", "_unacked", "_head_retries", "_out_of_order",
-        "_recovering", "_sim", "_legacy", "_rto_timer", "_rto_handle",
-        "_keepalive_timer", "_keepalive_handle", "_probes_sent", "_last_rx_time",
+        "_recovering", "_sim", "_rto_timer",
+        "_keepalive_timer", "_probes_sent", "_last_rx_time",
         "_fast", "registered", "_route", "_peer_route",
         "bytes_sent", "bytes_received", "retransmissions", "close_reason",
     )
@@ -142,14 +144,8 @@ class TcpConnection:
         self._recovering = False
         network = stack.host.network
         self._sim = network.sim if network is not None else None
-        # Fast kernel: a deadline-bumping RTO timer (zero heap traffic
-        # per advancing ACK).  Legacy: the pre-PR cancel + re-push
-        # handle churn, kept for the benchmark baseline.
-        self._legacy = compat.legacy_kernel_enabled()
         self._rto_timer: Optional[DeadlineTimer] = None
-        self._rto_handle = None
         self._keepalive_timer: Optional[DeadlineTimer] = None
-        self._keepalive_handle = None
         self._probes_sent = 0
         self._last_rx_time = 0.0
         # Whether the established-flow path applies (see the class
@@ -203,10 +199,7 @@ class TcpConnection:
         # The fast path's lazy keepalive re-arm is exact only when a
         # probe interval never outlasts the idle period (see
         # _on_keepalive_timer); other tunings keep the per-segment bump.
-        self._fast = (
-            not self._legacy
-            and self.tuning.keepalive_interval <= self.tuning.keepalive_idle
-        )
+        self._fast = self.tuning.keepalive_interval <= self.tuning.keepalive_idle
 
     # -- sending --------------------------------------------------------
     def send_record(
@@ -233,7 +226,7 @@ class TcpConnection:
         host.network.send(host, packet)
         self._route = packet.route
         timer = self._rto_timer
-        if timer is None or self._legacy:
+        if timer is None:
             self._arm_rto()
         elif timer._deadline is None:
             timer.schedule_at(self._sim._clock._now + self.tuning.rto)
@@ -426,30 +419,17 @@ class TcpConnection:
             self._cancel_rto()
 
     def _arm_rto(self, restart: bool = False) -> None:
-        if not self._legacy:
-            timer = self._rto_timer
-            if timer is None:
-                timer = self._rto_timer = DeadlineTimer(self.sim, self._on_rto)
-            if restart or not timer.armed:
-                timer.schedule_in(self.tuning.rto)
-            return
-        # Legacy (pre-PR) path: cancel + re-push a heap entry per
-        # advancing ACK — the timer-churn leak the benchmark measures.
-        if self._rto_handle is not None:
-            if not restart:
-                return
-            self._rto_handle.cancel()
-        self._rto_handle = self.sim.schedule(self.tuning.rto, self._on_rto)
+        timer = self._rto_timer
+        if timer is None:
+            timer = self._rto_timer = DeadlineTimer(self.sim, self._on_rto)
+        if restart or not timer.armed:
+            timer.schedule_in(self.tuning.rto)
 
     def _cancel_rto(self) -> None:
         if self._rto_timer is not None:
             self._rto_timer.cancel()
-        if self._rto_handle is not None:
-            self._rto_handle.cancel()
-            self._rto_handle = None
 
     def _on_rto(self) -> None:
-        self._rto_handle = None
         if self.state is TcpState.SYN_SENT:
             self._send(TcpFlags.SYN)
             self._arm_rto()
@@ -487,21 +467,14 @@ class TcpConnection:
         self._schedule_keepalive(self.tuning.keepalive_idle)
 
     def _schedule_keepalive(self, delay: float) -> None:
-        if not self._legacy:
-            timer = self._keepalive_timer
-            if timer is None:
-                timer = self._keepalive_timer = DeadlineTimer(
-                    self.sim, self._on_keepalive_timer
-                )
-            timer.schedule_in(delay)
-            return
-        # Legacy (pre-PR) path: a fresh cancellable heap entry per arm.
-        if self._keepalive_handle is not None:
-            self._keepalive_handle.cancel()
-        self._keepalive_handle = self.sim.schedule(delay, self._on_keepalive_timer)
+        timer = self._keepalive_timer
+        if timer is None:
+            timer = self._keepalive_timer = DeadlineTimer(
+                self.sim, self._on_keepalive_timer
+            )
+        timer.schedule_in(delay)
 
     def _on_keepalive_timer(self) -> None:
-        self._keepalive_handle = None
         if self.state is not TcpState.ESTABLISHED:
             return
         if self._fast:
@@ -536,9 +509,6 @@ class TcpConnection:
         self._cancel_rto()
         if self._keepalive_timer is not None:
             self._keepalive_timer.cancel()
-        if self._keepalive_handle is not None:
-            self._keepalive_handle.cancel()
-            self._keepalive_handle = None
         self._unacked.clear()
         self.stack.forget(self)
         if self.on_close:

@@ -26,7 +26,7 @@ SUBCOMMANDS = _subcommands()
 
 
 def test_every_subcommand_is_discovered():
-    assert len(SUBCOMMANDS) == 16
+    assert len(SUBCOMMANDS) == 14
     assert "fleet-validate" in SUBCOMMANDS
 
 
@@ -45,3 +45,9 @@ def test_top_level_help_exits_zero(capsys):
         main(["--help"])
     assert exit_info.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def test_profile_runs(capsys):
+    assert main(["profile", "--commands", "1", "--attacks", "0", "--top", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("Profile — house/echo, 1+0 commands")

@@ -17,7 +17,6 @@ import pytest
 from repro.core.config import VoiceGuardConfig
 from repro.core.recognizers import clear_recognizer_memo
 from repro.errors import ConfigError, WorkloadError
-from repro.experiments.bench_sim import guard_event_stream
 from repro.experiments.fleet import (
     FleetConfig,
     FleetProgressMeter,
@@ -79,7 +78,7 @@ def run_home(scenario, spec):
     workload = SevenDayWorkload(scenario)
     workload.run(spec.legit_commands, spec.attacks)
     scenario.speaker.settle_all()
-    return guard_event_stream(scenario.guard)
+    return scenario.guard.log.stream()
 
 
 class TestPoolIdentity:

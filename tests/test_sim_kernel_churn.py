@@ -1,30 +1,28 @@
 """The timer-churn fix: heap compaction, cancel bookkeeping,
-deadline-bumping timers, FIFO-floor pruning, and the kernel's
-byte-identity guarantee.
+deadline-bumping timers, FIFO-floor pruning, and tap routing edges.
 
-The headline regression test models the leak this PR fixes: a
-long-lived TCP flow re-arms its retransmission timer on every advancing
-ACK (cancel + re-push).  On the pre-PR queue every cycle strands one
-dead event, so the heap grows without bound over a fleet-length run; on
-the compacting queue the heap stays within a small constant factor of
-the live count, with pop order unchanged.  The legacy queue is kept
-runnable (``repro.sim.compat``), so the test demonstrates the failure
-it guards against instead of asserting it blind.
+The headline regression test models timer churn: a long-lived TCP flow
+re-arms its retransmission timer on every advancing ACK (cancel +
+re-push).  A queue without compaction strands one dead event per
+cycle, so its heap grows without bound over a fleet-length run; the
+compacting queue stays within a small constant factor of the live
+count.  A model-based property test checks the queue against a sorted
+list of live entries, so compaction cannot change what pops, or when.
+The guard event stream end to end is pinned by
+``tests/test_seven_day_stream.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.net.addresses import Endpoint, IPv4Address
 from repro.net.link import Host, Network, TapHost
 from repro.net.packet import Packet, Protocol
-from repro.sim import compat
-from repro.sim.events import EventQueue, LegacyEventQueue
+from repro.sim.events import EventQueue
 from repro.sim.process import DeadlineTimer
 from repro.sim.random import RngHub
-from repro.sim.simulator import Simulator
 
 
 def _churn(queue, cycles, rearm_gap=1.0, rto=30.0):
@@ -49,30 +47,21 @@ class TestHeapStaysBounded:
         # compaction threshold allows a handful, never thousands.
         assert len(queue._heap) <= 16
 
-    def test_legacy_queue_leaks_one_dead_event_per_cycle(self):
-        # The pre-PR behaviour this PR fixes — the same workload on the
-        # legacy queue strands (almost) every cancelled entry.
-        queue = LegacyEventQueue()
-        _churn(queue, self.CYCLES)
-        assert len(queue) == 1
-        assert len(queue._heap) > self.CYCLES * 0.9
-
     def test_pop_order_unchanged_by_compaction(self):
-        # Interleave churn with unrelated events; both queues must pop
-        # the survivors in the same order.
-        def build(queue):
-            times = [7.0, 3.0, 11.0, 5.0, 2.0, 13.0, 0.5]
-            for t in times:
-                queue.push(t, lambda: None)
-            _churn(queue, 200, rearm_gap=0.01, rto=4.0)
-            order = []
-            while True:
-                event = queue.pop()
-                if event is None:
-                    return order
-                order.append((event.time, event.sequence))
-
-        assert build(EventQueue()) == build(LegacyEventQueue())
+        # Interleave churn with unrelated events; the survivors must pop
+        # in (time, sequence) order: the seven unrelated events and the
+        # last re-arm, whose sequence follows 7 pushes and 200 re-arms.
+        queue = EventQueue()
+        times = [7.0, 3.0, 11.0, 5.0, 2.0, 13.0, 0.5]
+        for t in times:
+            queue.push(t, lambda: None)
+        _churn(queue, 200, rearm_gap=0.01, rto=4.0)
+        order = []
+        while (event := queue.pop()) is not None:
+            order.append((event.time, event.sequence))
+        survivors = [(t, seq) for seq, t in enumerate(times)]
+        survivors.append((200 * 0.01 + 4.0, len(times) + 200))
+        assert order == sorted(survivors)
 
     def test_compaction_spares_handle_free_posts(self):
         queue = EventQueue()
@@ -83,6 +72,93 @@ class TestHeapStaysBounded:
         assert len(queue) == 21
         popped = [queue.pop_entry() for _ in range(21)]
         assert [entry[0] for entry in popped[:20]] == [float(i) for i in range(20)]
+
+
+# One queue operation: (name, time or limit, handle pick, burst size).
+QUEUE_OPS = st.tuples(
+    st.sampled_from(["push", "post", "cancel", "burst", "pop", "pop_entry",
+                     "pop_entry_before", "peek_time"]),
+    st.integers(min_value=0, max_value=12).map(float),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=12),
+)
+
+
+class TestEventQueueModel:
+    """:class:`EventQueue` against a sorted list of live ``(time, seq)``.
+
+    Random push, post, cancel (including re-cancels and cancels after
+    the event fired or was compacted away), pop, ``pop_entry``,
+    ``pop_entry_before`` and ``peek_time``.  ``burst`` pushes a run of
+    events at one instant and cancels them all, which drives the queue
+    across its compaction threshold.  Every entry carries its model
+    sequence number as its argument, so pops identify what they return.
+    """
+
+    @staticmethod
+    def _sink(seq):
+        return None
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=st.lists(QUEUE_OPS, max_size=120))
+    def test_matches_sorted_live_list(self, ops):
+        queue = EventQueue()
+        live = []  # sorted (time, seq) of scheduled, uncancelled entries
+        handles = []  # (seq, handle) of every push, cancelled or not
+        next_seq = 0
+
+        def schedule(time, cancellable):
+            nonlocal next_seq
+            seq = next_seq
+            next_seq += 1
+            if cancellable:
+                handles.append((seq, queue.push(time, self._sink, (seq,))))
+            else:
+                queue.post(time, self._sink, (seq,))
+            live.append((time, seq))
+            live.sort()
+
+        def cancel(seq, handle):
+            handle.cancel()
+            live[:] = [entry for entry in live if entry[1] != seq]
+            # Right after a cancel, dead entries never outnumber live
+            # ones by more than the compaction allowance.
+            assert len(queue._heap) <= 2 * len(queue) + 7
+
+        for name, time, pick, burst in ops:
+            if name in ("push", "post"):
+                schedule(time, name == "push")
+            elif name == "cancel" and handles:
+                cancel(*handles[pick % len(handles)])
+            elif name == "burst":
+                first = len(handles)
+                for _ in range(burst):
+                    schedule(time, True)
+                for seq, handle in handles[first:]:
+                    cancel(seq, handle)
+            elif name == "pop":
+                event = queue.pop()
+                expected = live.pop(0) if live else None
+                got = None if event is None else (event.time, event.args[0])
+                assert got == expected
+            elif name == "pop_entry":
+                entry = queue.pop_entry()
+                expected = live.pop(0) if live else None
+                got = None if entry is None else (entry[0], entry[2][0])
+                assert got == expected
+            elif name == "pop_entry_before":
+                entry = queue.pop_entry_before(time)
+                expected = live.pop(0) if live and live[0][0] <= time else None
+                got = None if entry is None else (entry[0], entry[2][0])
+                assert got == expected
+            elif name == "peek_time":
+                assert queue.peek_time() == (live[0][0] if live else None)
+            assert len(queue) == len(live)
+            assert len(queue._heap) == len(queue) + queue._dead
+        drained = []
+        while (entry := queue.pop_entry()) is not None:
+            drained.append((entry[0], entry[2][0]))
+        assert drained == live
 
 
 class TestCancelBookkeeping:
@@ -217,7 +293,7 @@ class TestDeliveryFloorPruning:
         """A fleet of devices talking to one sink, in bursts with idle
         time in between — each device is a new (src, dst, protocol)
         floor entry, and every drain makes the previous burst's floors
-        stale.  The pre-PR dict kept all of them forever."""
+        stale.  Without pruning the dict would keep all of them."""
         sink = Host("sink", IPv4Address("10.0.1.1"))
         network.attach(sink)
         sink.register_udp_any(lambda packet: None)
@@ -238,15 +314,6 @@ class TestDeliveryFloorPruning:
         # 200 distinct paths were used; stale floors must have been
         # pruned instead of retained one-per-path forever.
         assert len(network._last_delivery) < self.PATHS / 2
-
-    def test_legacy_path_retains_every_floor(self, sim):
-        compat.use_legacy_kernel(True)
-        try:
-            network = Network(sim, RngHub(5))
-            self._flood(network, sim)
-            assert len(network._last_delivery) == self.PATHS  # the pre-PR leak
-        finally:
-            compat.use_legacy_kernel(False)
 
     def test_path_cache_is_bounded_under_ephemeral_ports(self, sim):
         # The routing cache is keyed by (origin, src, dst) endpoints;
@@ -374,19 +441,3 @@ class TestTapRoutingEdges:
         assert [p.payload_len for p in per_port] == [1]
         assert sorted(p.payload_len for p in catch_all) == [9, 10]
 
-
-class TestKernelByteIdentity:
-    @pytest.mark.slow
-    def test_guard_event_stream_identical_across_kernels(self):
-        # The whole-PR invariant, end to end: the same scenario seed
-        # must produce the same guard decisions, at the same simulated
-        # times, on the optimized and the legacy kernel.
-        from repro.experiments.bench_sim import _run_cell
-
-        fast = _run_cell(False, seed=11, legit=6, malicious=4,
-                         episode_gap=None)
-        legacy = _run_cell(True, seed=11, legit=6, malicious=4,
-                           episode_gap=None)
-        assert fast[1] == legacy[1]  # guard event streams
-        assert fast[2] == legacy[2]  # final simulated clock
-        assert len(fast[1]) > 0
