@@ -262,6 +262,26 @@ class TrafficRecognition:
             self._try_classify(speaker, window)
         return self._window_action(window)
 
+    def forwards_idle(self, flow: ProxiedFlow, length: int) -> bool:
+        """Whether :meth:`observe` forwards a ``length``-byte record on
+        ``flow`` without changing any state.
+
+        True for a heartbeat on a flow with no open window whose
+        signature tracking has settled, with no signature learner
+        attached; the proxy asks before an idle epoch skips records
+        (:meth:`repro.net.proxy.TransparentProxy.idle_flow`).
+        """
+        if self._speakers.get(flow.client.ip) is None:
+            return True
+        fs = self._flows.get(flow.flow_id)
+        if (fs is None or fs.window is not None
+                or length != self.config.heartbeat_len
+                or self.signature_learner is not None):
+            return False
+        return (not self.use_signature_tracking or fs.signature_matched
+                or (fs.signature_failed
+                    and len(fs.prefix) >= len(self._active_signature())))
+
     # -- lifecycle ------------------------------------------------------------
     def on_flow_closed(self, flow: ProxiedFlow) -> None:
         """Forget a closed flow's tracking state.

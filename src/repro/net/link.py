@@ -22,6 +22,10 @@ from repro.sim.simulator import Simulator
 
 PacketObserver = Callable[[Packet, str], None]
 _TCP = Protocol.TCP
+# Network.send spaces a path's arrivals at least FIFO_GAP apart and
+# draws jitter variates JITTER_BLOCK at a time.
+FIFO_GAP = 1e-6
+JITTER_BLOCK = 256
 
 
 class Route:
@@ -283,7 +287,7 @@ class Network:
             return
         jitter_idx = self._jitter_idx
         if jitter_idx >= len(self._jitter_buf):
-            self._jitter_buf = self._rng.random(256).tolist()
+            self._jitter_buf = self._rng.random(JITTER_BLOCK).tolist()
             jitter_idx = 0
         self._jitter_idx = jitter_idx + 1
         latency = route.base * (1.0 + self.jitter * self._jitter_buf[jitter_idx])
@@ -292,7 +296,7 @@ class Network:
         last_delivery = self._last_delivery
         fifo_id = route.fifo_id
         arrival = now + latency
-        floor = last_delivery.get(fifo_id, 0.0) + 1e-6
+        floor = last_delivery.get(fifo_id, 0.0) + FIFO_GAP
         if arrival < floor:
             arrival = floor
         last_delivery[fifo_id] = arrival
@@ -335,12 +339,12 @@ class Network:
     def _prune_delivery_floors(self, now: float) -> None:
         """Drop FIFO floors that simulated time has already passed.
 
-        A floor at ``last <= now - 1e-6`` cannot raise any future
+        A floor at ``last <= now - FIFO_GAP`` cannot raise any future
         arrival (every new arrival is at least ``now``), so the entry is
         dead weight.  The threshold doubles with the surviving size, so
         pruning stays O(1) amortized per send.
         """
-        stale = now - 1e-6
+        stale = now - FIFO_GAP
         last_delivery = self._last_delivery
         for key in [k for k, t in last_delivery.items() if t <= stale]:
             del last_delivery[key]

@@ -344,16 +344,6 @@ class TcpConnection:
                 self._finish("fin")
 
     # -- internals ------------------------------------------------------
-    def _make_packet(
-        self,
-        flags: TcpFlags,
-        payload_len: int = 0,
-        tls_type: TlsRecordType = TlsRecordType.NONE,
-        tls_record_seq: Optional[int] = None,
-    ) -> Packet:
-        return Packet(self.local, self.remote, _TCP, payload_len, flags,
-                      self.snd_next, self.rcv_next, tls_type, tls_record_seq)
-
     def _send(self, flags: TcpFlags) -> None:
         """Send a control segment (no payload) along the cached route."""
         packet = Packet(self.local, self.remote, _TCP, 0, flags,

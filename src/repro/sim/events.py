@@ -152,6 +152,37 @@ class EventQueue:
         _heappush(self._heap, (float(time), seq, None, callback, args))
         self._live += 1
 
+    def post_reserved(self, used: int, entries, fired=()) -> None:
+        """Account for a batch of events applied outside the dispatch loop.
+
+        A pass that applies many events in one go (an idle epoch, see
+        :mod:`repro.speakers.idle`) takes the ``used`` sequence numbers
+        their dispatch would have consumed, from ``_next_seq`` on.
+        ``fired`` are queued handle-free entries (as found in the heap)
+        that the batch fired; they leave the heap.  ``entries`` are the
+        ``(time, seq, callback, args)`` wakeups the batch leaves queued,
+        each with the sequence number dispatch would have given it, so
+        later ties break exactly as they would have.
+        """
+        first = self._next_seq
+        for entry in entries:
+            if not first <= entry[1] < first + used:
+                raise SimulationError(
+                    f"sequence number {entry[1]} is outside the reserved "
+                    f"range [{first}, {first + used})")
+        heap = self._heap
+        if fired:
+            gone = {id(entry) for entry in fired}
+            kept = [entry for entry in heap if id(entry) not in gone]
+            if len(heap) - len(kept) != len(gone):
+                raise SimulationError("a fired entry is not in the queue")
+            heap[:] = kept
+        for time, seq, callback, args in entries:
+            heap.append((float(time), seq, None, callback, args))
+        heapq.heapify(heap)
+        self._live += len(entries) - len(fired)
+        self._next_seq = first + used
+
     # -- inspection -----------------------------------------------------
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if the queue is empty."""

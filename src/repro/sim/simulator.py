@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
@@ -18,6 +19,11 @@ class Simulator:
     needed).  The experiment driver then calls :meth:`run` (to drain
     all events) or :meth:`run_until` (to advance to a deadline).
 
+    ``run_limit`` is the deadline of the :meth:`run_until` call in
+    progress (``-inf`` outside one, or when it counts ``max_events``).
+    A callback that applies a batch of future events in one pass (an
+    idle epoch, :mod:`repro.speakers.idle`) must apply none past it.
+
     Example
     -------
     >>> sim = Simulator()
@@ -32,6 +38,7 @@ class Simulator:
         self._clock = SimClock(start)
         self._queue = EventQueue()
         self._running = False
+        self.run_limit = -math.inf
 
     @property
     def now(self) -> float:
@@ -112,16 +119,22 @@ class Simulator:
                 f"run_until({time:.6f}) is before now ({self.now:.6f})"
             )
         pop_entry_before = self._queue.pop_entry_before
+        outer_limit = self.run_limit
+        self.run_limit = time if max_events is None else -math.inf
         fired = 0
-        while max_events is None or fired < max_events:
-            entry = pop_entry_before(time)
-            if entry is None:
-                break
-            # The heap pops in time order and never yields past events,
-            # so the monotonicity check in advance_to is redundant here.
-            clock._now = entry[0]
-            entry[1](*entry[2])
-            fired += 1
+        try:
+            while max_events is None or fired < max_events:
+                entry = pop_entry_before(time)
+                if entry is None:
+                    break
+                # The heap pops in time order and never yields past
+                # events, so advance_to's monotonicity check is
+                # redundant here.
+                clock._now = entry[0]
+                entry[1](*entry[2])
+                fired += 1
+        finally:
+            self.run_limit = outer_limit
         clock.advance_to(time)
         return fired
 

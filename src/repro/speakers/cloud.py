@@ -57,6 +57,7 @@ class AvsCloud(Host):
 
     PROCESSING_DELAY = (2.8, 4.5)  # command end -> response audio
     DIRECTIVE_DELAY = 0.025  # quick server acknowledgement (Figure 4)
+    HEARTBEAT_REPLY_DELAY = 0.004
 
     def __init__(self, name: str, ip: IPv4Address, rng: np.random.Generator) -> None:
         super().__init__(name, ip)
@@ -100,13 +101,24 @@ class AvsCloud(Host):
             return
         if packet.payload_len == HEARTBEAT_LEN and packet.meta.get("heartbeat"):
             self.stats.heartbeats_answered += 1
-            self._schedule_send(conn, state, 0.004, HEARTBEAT_LEN,
-                                TlsRecordType.APPLICATION_DATA, {"heartbeat_ack": True})
+            self._schedule_send(conn, state, self.HEARTBEAT_REPLY_DELAY,
+                                HEARTBEAT_LEN, TlsRecordType.APPLICATION_DATA,
+                                {"heartbeat_ack": True})
             return
         if packet.meta.get("command_end"):
             interaction_id = int(packet.meta["interaction_id"])
             segments: List[int] = list(packet.meta.get("response_segments", []))
             self._execute(conn, state, interaction_id, segments)
+
+    def heartbeat_session(self, conn: TcpConnection) -> Optional[_SessionState]:
+        """The live session behind ``conn``, if heartbeats on it get
+        the plain reply of :meth:`_on_record` (idle epochs,
+        :mod:`repro.speakers.idle`)."""
+        state = self._sessions.get(conn.four_tuple)
+        if (state is None or state.dead or state.tls.violation is not None
+                or getattr(conn.on_record, "func", None) != self._on_record):
+            return None
+        return state
 
     def _execute(
         self,

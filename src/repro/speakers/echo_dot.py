@@ -29,6 +29,7 @@ from repro.net.dns import DnsClient
 from repro.net.tcp import TcpConnection, TcpTuning
 from repro.net.tls import TlsSession
 from repro.sim.process import DeadlineTimer
+from repro.speakers import idle
 from repro.speakers import signatures as sig
 from repro.speakers.base import InteractionRecord, SmartSpeaker
 from repro.speakers.interaction import EchoTrafficModel
@@ -170,6 +171,9 @@ class EchoDot(SmartSpeaker):
 
     def _heartbeat(self) -> None:
         if self.connected and self._tls is not None:
+            # A quiet home applies whole heartbeat periods at once.
+            if idle.advance_idle_epoch(self):
+                return
             self._send_record(self._conn, self._tls, sig.HEARTBEAT_LEN, {"heartbeat": True})
             self._schedule_heartbeat()
 

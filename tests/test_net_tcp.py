@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ConnectionClosedError
 from repro.net.addresses import Endpoint, IPv4Address
 from repro.net.link import Host, Network, TapHost
-from repro.net.packet import Packet, Protocol, TlsRecordType
+from repro.net.packet import Packet, Protocol, TcpFlags, TlsRecordType
 from repro.net.tcp import TcpStack, TcpState, TcpTuning
 from repro.sim.random import RngHub
 
@@ -61,7 +61,6 @@ class TestHandshake:
         server.listen(443, accepted.append, transparent=False)
         # A SYN addressed to an IP the server host does not own lands on
         # its stack (e.g. via a misrouted tap); it must not be accepted.
-        from repro.net.packet import TcpFlags
         syn = Packet(
             src=Endpoint(client.host.ip, 50000),
             dst=Endpoint(IPv4Address("54.9.9.9"), 443),
@@ -189,11 +188,9 @@ class TestLossRecovery:
         # Simulate a spurious retransmission of the same segment.
         duplicate = Packet(
             src=conn.local, dst=conn.remote, protocol=Protocol.TCP,
-            payload_len=10, flags=conn._make_packet(flags=0).flags,
+            payload_len=10, flags=TcpFlags.PSH | TcpFlags.ACK,
             seq=0, ack=0, tls_type=TlsRecordType.APPLICATION_DATA,
         )
-        from repro.net.packet import TcpFlags
-        duplicate.flags = TcpFlags.PSH | TcpFlags.ACK
         client.host.send(duplicate)
         sim.run_for(1.0)
         assert received == [10]
