@@ -180,6 +180,17 @@ class TestTransparentProxy:
         sim.run_for(1.0)
         assert Protocol.UDP in seen
 
+    def test_snoopers_see_no_tcp_packets(self, proxied_world):
+        sim, network, speaker, server, proxy, received = proxied_world
+        seen = []
+        proxy.add_snooper(lambda p: seen.append(p.protocol))
+        conn = speaker.connect(Endpoint(IPv4Address("54.1.1.1"), 443))
+        sim.run_for(1.0)
+        conn.send_record(100, tls_record_seq=0)
+        sim.run_for(1.0)
+        assert [p.payload_len for p in received] == [100]
+        assert seen == []
+
     def test_drop_decision_discards_record(self, proxied_world):
         sim, network, speaker, server, proxy, received = proxied_world
         proxy.record_policy = lambda flow, p: ForwarderDecision.DROP
